@@ -75,11 +75,11 @@
 //!     --smoke --dim 8192 --artifacts bench-artifacts
 //! ```
 
-use asgd_bench::{experiment_ids, run_experiment};
+use asgd_bench::{experiment, experiment_ids};
 use asgd_driver::validation::default_backends;
 use asgd_driver::{
-    run_spec, validate, BackendKind, Driver, DriverError, ModelLayoutSpec, PinSpec, RunReport,
-    RunSpec, SchedulerSpec, ShardsSpec, SparsePathSpec, UpdateOrderSpec, ValidationPlan,
+    run_spec, validate, BackendKind, Driver, DriverError, PinSpec, RunReport, RunSpec,
+    SchedulerSpec, ShardsSpec, SparsePathSpec, ValidationPlan,
 };
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
@@ -154,8 +154,6 @@ struct RunArgs {
     eps: Option<f64>,
     max_steps: Option<u64>,
     x0: Option<Vec<f64>>,
-    layout: ModelLayoutSpec,
-    order: UpdateOrderSpec,
     sparse: SparsePathSpec,
     shards: ShardsSpec,
     pin: PinSpec,
@@ -188,10 +186,8 @@ fn usage_run() -> ! {
          \x20 --eps EPS              success region threshold on ‖x−x*‖²\n\
          \x20 --x0 V1,V2,…           initial point (origin; must match --dim)\n\
          \x20 --max-steps K          simulated step cap\n\
-         \x20 --layout L             native model layout: compact | padded (compact)\n\
-         \x20 --order O              native memory order: seqcst | relaxed (seqcst)\n\
          \x20 --sparse P             gradient path: auto | dense | sparse (auto)\n\
-         \x20 --shards S             native parameter-store sharding: flat | auto | N (flat)\n\
+         \x20 --shards S             native parameter-store shards: auto | N (1)\n\
          \x20 --pin P                pin native workers to cores: on | off (off)\n\
          \x20 --trajectory-every K   record a trajectory sample every K iterations\n\
          \x20 --parallel             run multiple backends concurrently (Driver::run_many)\n\
@@ -214,8 +210,6 @@ fn run_mode(args: &[String]) {
         .iterations(parsed.iterations)
         .seed(parsed.seed)
         .scheduler(parsed.scheduler)
-        .layout(parsed.layout)
-        .order(parsed.order)
         .sparse(parsed.sparse)
         .shards(parsed.shards)
         .pin(parsed.pin);
@@ -352,10 +346,8 @@ fn parse_run_args(args: &[String]) -> RunArgs {
         eps: None,
         max_steps: None,
         x0: None,
-        layout: ModelLayoutSpec::Compact,
-        order: UpdateOrderSpec::SeqCst,
         sparse: SparsePathSpec::Auto,
-        shards: ShardsSpec::Flat,
+        shards: ShardsSpec::default(),
         pin: PinSpec::Off,
         trajectory_every: None,
         json: None,
@@ -405,8 +397,6 @@ fn parse_run_args(args: &[String]) -> RunArgs {
             "--max-steps" => {
                 parsed.max_steps = Some(parse_flag!(&mut it, "--max-steps", usage_run))
             }
-            "--layout" => parsed.layout = parse_flag!(&mut it, "--layout", usage_run),
-            "--order" => parsed.order = parse_flag!(&mut it, "--order", usage_run),
             "--sparse" => parsed.sparse = parse_flag!(&mut it, "--sparse", usage_run),
             "--shards" => parsed.shards = parse_flag!(&mut it, "--shards", usage_run),
             "--pin" => parsed.pin = parse_flag!(&mut it, "--pin", usage_run),
@@ -1757,11 +1747,21 @@ fn table_mode(mut args: Vec<String>) {
     } else {
         args.iter().map(String::as_str).collect()
     };
+    // Resolve every id before running any, so a typo fails fast.
+    let runs: Vec<_> = ids
+        .iter()
+        .map(|&id| {
+            experiment(id).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                exit(2);
+            })
+        })
+        .collect();
 
     let out_dir = PathBuf::from("target").join("experiments");
-    for id in ids {
+    for (id, run) in ids.into_iter().zip(runs) {
         let started = std::time::Instant::now();
-        let output = run_experiment(id, quick);
+        let output = run(quick);
         print!("{}", output.render());
         for (i, table) in output.tables.iter().enumerate() {
             let name = if output.tables.len() == 1 {

@@ -9,8 +9,8 @@
 //! per iteration to apply one update; the sparse path reads one.
 //!
 //! A second grid takes the sparse path to serving-scale dimensions —
-//! d ∈ {1M, 10M} — and compares the flat single-arena store against the
-//! topology-sharded `ShardedModel` ([`sweep_store_cells`]): same claims,
+//! d ∈ {1M, 10M} — and compares the default single-arena (1-shard) store
+//! against the topology-sharded one ([`sweep_store_cells`]): same claims,
 //! same coin streams, different arena routing. At these dimensions one flat
 //! arena spans hundreds of cache-line-sized pages; sharding keeps each
 //! worker's hot range compact.
@@ -34,7 +34,8 @@ pub struct Row {
     pub threads: usize,
     /// `"dense"` or `"sparse"`.
     pub path: &'static str,
-    /// `"flat"` or `"sharded"` — which parameter store held the model.
+    /// `"flat"` (one shard, the default) or `"sharded"` (`auto` shards) —
+    /// how the parameter store was split.
     pub store: &'static str,
     /// Iteration budget (identical across paths).
     pub iterations: u64,
@@ -75,10 +76,9 @@ fn row_from(spec: &RunSpec, report: &asgd_driver::RunReport) -> Row {
         } else {
             "dense"
         },
-        store: if report.shards.is_some() {
-            "sharded"
-        } else {
-            "flat"
+        store: match spec.shards {
+            ShardsSpec::Auto => "sharded",
+            ShardsSpec::Fixed(_) => "flat",
         },
         iterations: spec.iterations,
         wall_secs: report.wall_time_secs,
@@ -98,7 +98,7 @@ fn measure(specs: &[RunSpec]) -> Vec<Row> {
         .collect()
 }
 
-/// The dense-vs-sparse grid (flat store).
+/// The dense-vs-sparse grid (1-shard store).
 #[must_use]
 pub fn sweep(quick: bool) -> Vec<Row> {
     if quick {
@@ -109,7 +109,7 @@ pub fn sweep(quick: bool) -> Vec<Row> {
 }
 
 /// Measures an explicit `dims × thread_counts` grid at a caller-chosen
-/// iteration budget (both paths per cell, dense first; flat store).
+/// iteration budget (both paths per cell, dense first; 1-shard store).
 /// `bench-check` uses this to re-measure a corner of the committed grid at
 /// the committed budget, so its throughput comparison is apples-to-apples.
 #[must_use]
@@ -118,7 +118,13 @@ pub fn sweep_cells(dims: &[usize], thread_counts: &[usize], iterations: u64) -> 
     for &d in dims {
         for &threads in thread_counts {
             for path in [SparsePathSpec::Dense, SparsePathSpec::Sparse] {
-                specs.push(cell_spec(d, threads, path, ShardsSpec::Flat, iterations));
+                specs.push(cell_spec(
+                    d,
+                    threads,
+                    path,
+                    ShardsSpec::Fixed(1),
+                    iterations,
+                ));
             }
         }
     }
@@ -127,14 +133,14 @@ pub fn sweep_cells(dims: &[usize], thread_counts: &[usize], iterations: u64) -> 
 
 /// The flat-vs-sharded store grid: every cell runs the sparse O(Δ) path
 /// (the dense O(d) scan at d = 10M would measure memory bandwidth, not the
-/// store), flat store first, then the topology-sharded store. Workers are
-/// pinned in both cells so the comparison shares one placement.
+/// store), the 1-shard store first, then the topology-sharded store.
+/// Workers are pinned in both cells so the comparison shares one placement.
 #[must_use]
 pub fn sweep_store_cells(dims: &[usize], thread_counts: &[usize], iterations: u64) -> Vec<Row> {
     let mut specs = Vec::new();
     for &d in dims {
         for &threads in thread_counts {
-            for shards in [ShardsSpec::Flat, ShardsSpec::Auto] {
+            for shards in [ShardsSpec::Fixed(1), ShardsSpec::Auto] {
                 specs.push(
                     cell_spec(d, threads, SparsePathSpec::Sparse, shards, iterations)
                         .pin(PinSpec::On),

@@ -79,36 +79,58 @@ pub fn experiment_ids() -> Vec<&'static str> {
     ]
 }
 
+/// An experiment id that is not in [`experiment_ids`] — a usage error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownExperiment(pub String);
+
+impl std::fmt::Display for UnknownExperiment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "unknown experiment id `{}` (known: {})",
+            self.0,
+            experiment_ids().join(", ")
+        )
+    }
+}
+
+impl std::error::Error for UnknownExperiment {}
+
+/// Resolves an experiment id to its runner (which takes `quick`).
+///
+/// # Errors
+///
+/// Returns [`UnknownExperiment`] if `id` is not in [`experiment_ids`].
+pub fn experiment(id: &str) -> Result<fn(bool) -> ExperimentOutput, UnknownExperiment> {
+    Ok(match id {
+        "fig1" => experiments::fig1::run,
+        "t31" => experiments::t31::run,
+        "t51" => experiments::t51::run,
+        "t65" => experiments::t65::run,
+        "c67" => experiments::c67::run,
+        "l62" => experiments::contention::run_l62,
+        "l64" => experiments::contention::run_l64,
+        "tavg" => experiments::contention::run_tavg,
+        "c71" => experiments::c71::run,
+        "stepsize" => experiments::stepsize::run,
+        "regimes" => experiments::regimes::run,
+        "speedup" => experiments::speedup::run,
+        "sparse" => experiments::sparse::run,
+        "sparse-scaling" => experiments::sparse_scaling::run,
+        "serving" => experiments::serving::run,
+        "serving-net" => experiments::serving_net::run,
+        "ingest" => experiments::ingest::run,
+        other => return Err(UnknownExperiment(other.to_string())),
+    })
+}
+
 /// Runs one experiment by id.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `id` is unknown.
-#[must_use]
-pub fn run_experiment(id: &str, quick: bool) -> ExperimentOutput {
-    match id {
-        "fig1" => experiments::fig1::run(quick),
-        "t31" => experiments::t31::run(quick),
-        "t51" => experiments::t51::run(quick),
-        "t65" => experiments::t65::run(quick),
-        "c67" => experiments::c67::run(quick),
-        "l62" => experiments::contention::run_l62(quick),
-        "l64" => experiments::contention::run_l64(quick),
-        "tavg" => experiments::contention::run_tavg(quick),
-        "c71" => experiments::c71::run(quick),
-        "stepsize" => experiments::stepsize::run(quick),
-        "regimes" => experiments::regimes::run(quick),
-        "speedup" => experiments::speedup::run(quick),
-        "sparse" => experiments::sparse::run(quick),
-        "sparse-scaling" => experiments::sparse_scaling::run(quick),
-        "serving" => experiments::serving::run(quick),
-        "serving-net" => experiments::serving_net::run(quick),
-        "ingest" => experiments::ingest::run(quick),
-        other => panic!(
-            "unknown experiment id: {other} (known: {:?})",
-            experiment_ids()
-        ),
-    }
+/// Returns [`UnknownExperiment`] if `id` is not in [`experiment_ids`].
+pub fn run_experiment(id: &str, quick: bool) -> Result<ExperimentOutput, UnknownExperiment> {
+    experiment(id).map(|run| run(quick))
 }
 
 #[cfg(test)]
@@ -129,9 +151,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown experiment id")]
-    fn unknown_id_panics() {
-        let _ = run_experiment("nope", true);
+    fn unknown_id_is_a_typed_error_listing_the_known_ids() {
+        let err = run_experiment("nope", true).expect_err("unknown id");
+        assert_eq!(err, UnknownExperiment("nope".to_string()));
+        let message = err.to_string();
+        assert!(
+            message.contains("unknown experiment id `nope`"),
+            "{message}"
+        );
+        for id in experiment_ids() {
+            assert!(message.contains(id), "{message} lacks {id}");
+            assert!(experiment(id).is_ok(), "{id} resolves");
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //!   ([`LenMode::SplitCheck`]) that overflows the capacity under one
 //!   adversarial preemption.
 //! * [`sharded_model`] — the
-//!   [`ShardedModel`](asgd_hogwild::ShardedModel) per-shard progress
+//!   [`ParamStore`](asgd_hogwild::ParamStore) per-shard progress
 //!   counters and their `coherent_update_counts` double-collect read
 //!   protocol (coherence of the published cross-shard vector), with a
 //!   validation-free split-read bug mode ([`ScanMode::SplitRead`]) that

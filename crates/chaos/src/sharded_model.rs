@@ -1,8 +1,8 @@
-//! The [`ShardedModel`](asgd_hogwild::ShardedModel) per-shard progress
+//! The [`ParamStore`](asgd_hogwild::ParamStore) per-shard progress
 //! counters and their double-collect read protocol
 //! (`coherent_update_counts`) as an explorable step function.
 //!
-//! The sharded store bumps one cache-line-padded counter per applied
+//! The parameter store bumps one cache-line-padded counter per applied
 //! `fetch&add`; each counter read is individually atomic, but a cross-shard
 //! progress vector is assembled one shard at a time, so the *cut* across
 //! shards can be torn: shard 0 read before a burst of updates, shard 1 read

@@ -7,16 +7,14 @@
 use crate::error::DriverError;
 use crate::report::{ContentionSummary, RunReport};
 use crate::session::{RunEvent, SampleHub, SessionCtx, DEFAULT_PROGRESS_STRIDE};
-use crate::spec::{
-    BackendKind, ModelLayoutSpec, PinSpec, RunSpec, ShardsSpec, SparsePathSpec, UpdateOrderSpec,
-};
+use crate::spec::{BackendKind, PinSpec, RunSpec, ShardsSpec, SparsePathSpec};
 use asgd_core::full_sgd::{run_simulated_session, FullSgdConfig, SimSession};
 use asgd_core::runner::LockFreeSgd;
 use asgd_core::sequential::SequentialSgd;
 use asgd_hogwild::{
     ExecTuning, GuardedEpochSgd, GuardedEpochSgdConfig, Hogwild, HogwildConfig, LockedSgd,
-    MetricsSink, ModelLayout, NativeFullSgd, NativeFullSgdConfig, RunControl, ShardPolicy,
-    SparsePolicy, TimingSink, UpdateOrder,
+    MetricsSink, NativeFullSgd, NativeFullSgdConfig, RunControl, ShardPolicy, ShardRouter,
+    SparsePolicy, TimingSink,
 };
 use asgd_math::rng::SeedSequence;
 use asgd_oracle::GradientOracle;
@@ -27,21 +25,12 @@ use std::time::Instant;
 /// Maps the spec-level tuning knobs onto the native executors' [`ExecTuning`].
 fn native_tuning(spec: &RunSpec) -> ExecTuning {
     ExecTuning {
-        layout: match spec.layout {
-            ModelLayoutSpec::Compact => ModelLayout::Compact,
-            ModelLayoutSpec::Padded => ModelLayout::Padded,
-        },
-        order: match spec.order {
-            UpdateOrderSpec::SeqCst => UpdateOrder::SeqCst,
-            UpdateOrderSpec::Relaxed => UpdateOrder::Relaxed,
-        },
         sparse: match spec.sparse {
             SparsePathSpec::Auto => SparsePolicy::Auto,
             SparsePathSpec::Dense => SparsePolicy::ForceDense,
             SparsePathSpec::Sparse => SparsePolicy::ForceSparse,
         },
         shards: match spec.shards {
-            ShardsSpec::Flat => ShardPolicy::Flat,
             ShardsSpec::Auto => ShardPolicy::Auto,
             ShardsSpec::Fixed(n) => ShardPolicy::Fixed(n),
         },
@@ -50,16 +39,14 @@ fn native_tuning(spec: &RunSpec) -> ExecTuning {
     }
 }
 
-/// The realised shard count a sharding native backend reports: the count
-/// the store's power-of-two router actually built (chunk rounding can
-/// realise fewer shards than [`ShardPolicy::resolve`] requests), `None` for
-/// flat ones. The executor builds its store through the same resolve →
-/// `pow2` path, so this is the count that actually ran, not a request.
-fn realized_shards(spec: &RunSpec, d: usize) -> Option<u64> {
-    native_tuning(spec)
-        .shards
-        .resolve(d)
-        .map(|n| asgd_hogwild::ShardRouter::pow2(d, n).shard_count() as u64)
+/// The realised shard count a native store backend reports: the count the
+/// store's power-of-two router actually built (chunk rounding can realise
+/// fewer shards than [`ShardPolicy::resolve`] requests). The executor
+/// builds its store through the same resolve → [`ShardRouter::new`] path,
+/// so this is the count that actually ran, not a request.
+fn realized_shards(spec: &RunSpec, d: usize) -> u64 {
+    let requested = native_tuning(spec).shards.resolve(d);
+    ShardRouter::new(d, requested).shard_count() as u64
 }
 
 /// The sampling stride a session uses: the spec's trajectory stride, or a
@@ -588,7 +575,7 @@ impl Backend for HogwildBackend {
             contention: None,
             stale_rejected: None,
             sparse_path: Some(report.used_sparse),
-            shards: realized_shards(spec, x0.len()),
+            shards: Some(realized_shards(spec, x0.len())),
             trajectory,
         })
     }
@@ -680,7 +667,7 @@ impl Backend for GuardedEpochBackend {
             contention: None,
             stale_rejected: Some(report.stale_rejected),
             sparse_path: Some(report.used_sparse),
-            shards: realized_shards(spec, x0.len()),
+            shards: Some(realized_shards(spec, x0.len())),
             trajectory,
         })
     }
@@ -727,7 +714,7 @@ impl Backend for NativeFullSgdBackend {
             contention: None,
             stale_rejected: None,
             sparse_path: Some(report.used_sparse),
-            shards: realized_shards(spec, x0.len()),
+            shards: Some(realized_shards(spec, x0.len())),
             trajectory,
         })
     }
@@ -906,7 +893,7 @@ mod tests {
                 _ => base.clone().backend(kind),
             };
             let flat = run_spec(&spec).unwrap_or_else(|e| panic!("{kind}: {e}"));
-            assert_eq!(flat.shards, None, "{kind}: flat stores report no shards");
+            assert_eq!(flat.shards, Some(1), "{kind}: one shard by default");
             let sharded = run_spec(&spec.shards(ShardsSpec::Fixed(4)).pin(PinSpec::On))
                 .unwrap_or_else(|e| panic!("{kind}: {e}"));
             assert_eq!(sharded.shards, Some(4), "{kind}");
@@ -936,17 +923,6 @@ mod tests {
         // clamped (realised) count, not the request.
         let clamped = run_spec(&base.clone().shards(ShardsSpec::Fixed(1000))).unwrap();
         assert_eq!(clamped.shards, Some(8));
-    }
-
-    #[test]
-    fn layout_and_order_knobs_run_on_native_backends() {
-        use crate::spec::{ModelLayoutSpec, UpdateOrderSpec};
-        let spec = base_spec()
-            .backend(BackendKind::Hogwild)
-            .layout(ModelLayoutSpec::Padded)
-            .order(UpdateOrderSpec::Relaxed);
-        let report = run_spec(&spec).unwrap();
-        assert!(report.final_dist_sq < 0.5, "dist² {}", report.final_dist_sq);
     }
 
     #[test]

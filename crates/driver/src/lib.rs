@@ -18,8 +18,7 @@
 //!   time, distances, wall time, contention statistics, optional strided
 //!   [`TrajectorySample`]s, and (for deterministic backends) the execution
 //!   fingerprint. Serialisable to and from JSON via the built-in codec
-//!   ([`json`]), and additionally deriving `serde::{Serialize, Deserialize}`
-//!   when the `serde` feature is enabled;
+//!   ([`json`]);
 //! * [`session`] — runs as *jobs*: [`Driver::submit`] returns a
 //!   [`RunHandle`] with `cancel()` / `wait()` / `try_report()`,
 //!   [`Driver::run_many`] executes sweeps on a bounded worker pool, and a
@@ -83,30 +82,8 @@ pub use trace::TraceObserver;
 // training model live through the attached `ModelReader`.
 pub use asgd_hogwild::{ModelReader, ModelSnapshot, ServeHook, SnapshotCell};
 pub use spec::{
-    BackendKind, ModelLayoutSpec, PinSpec, RunSpec, SchedulerSpec, ShardsSpec, SparsePathSpec,
-    StepSize, UpdateOrderSpec,
+    BackendKind, PinSpec, RunSpec, SchedulerSpec, ShardsSpec, SparsePathSpec, StepSize,
 };
 pub use validation::{
     validate, ValidationCell, ValidationCriterion, ValidationPlan, ValidationReport,
 };
-
-/// Compile-time proof the feature-gated serde derives actually emit impls
-/// (CI builds `--features serde`, so a rotted attribute fails loudly). Only
-/// the lifetime-free `Serialize` bound is asserted — it is spelled the same
-/// against the offline stub and the real serde.
-#[cfg(all(test, feature = "serde"))]
-mod serde_feature_tests {
-    fn assert_serialize<T: serde::Serialize>() {}
-
-    #[test]
-    fn spec_and_report_types_derive_serialize() {
-        assert_serialize::<crate::RunSpec>();
-        assert_serialize::<crate::RunReport>();
-        assert_serialize::<crate::TrajectorySample>();
-        assert_serialize::<crate::ContentionSummary>();
-        assert_serialize::<crate::BackendKind>();
-        assert_serialize::<crate::StepSize>();
-        assert_serialize::<crate::SchedulerSpec>();
-        assert_serialize::<asgd_oracle::OracleSpec>();
-    }
-}

@@ -8,7 +8,6 @@ use crate::json::{self, Value};
 /// (`RunSpec::trajectory_every`) and streamed live to any attached
 /// [`RunObserver`](crate::RunObserver).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TrajectorySample {
     /// Number of updates reflected in the measured state: the claim index on
     /// native backends, the ordered iteration count on simulated/sequential
@@ -42,7 +41,6 @@ impl TrajectorySample {
 
 /// Contention statistics of a simulated execution, summarised for reports.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ContentionSummary {
     /// Ordered iterations executed.
     pub iterations: u64,
@@ -107,7 +105,6 @@ impl ContentionSummary {
 /// backend produces this one shape, so experiments compare execution models
 /// field by field and dump machine-readable summaries.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunReport {
     /// Backend name (see `BackendKind::name`).
     pub backend: String,
@@ -145,8 +142,9 @@ pub struct RunReport {
     /// Whether the run took the O(Δ) sparse gradient path (`None` for
     /// backends without the dense/sparse distinction, e.g. sequential).
     pub sparse_path: Option<bool>,
-    /// Realised parameter-store shard count (`None` for flat stores and for
-    /// backends without arenas — simulated, sequential, locked).
+    /// Realised parameter-store shard count for every native store run
+    /// (`None` for backends without arenas — simulated, sequential,
+    /// locked).
     pub shards: Option<u64>,
     /// Strided trajectory samples, ordered by index — present when the spec
     /// enabled collection (`RunSpec::trajectory_every`).

@@ -9,7 +9,6 @@ use asgd_shmem::sched::{
 
 /// The execution models a [`RunSpec`] can select.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BackendKind {
     /// The classic sequential iteration (Eq. 1), single coin stream.
     Sequential,
@@ -95,79 +94,6 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
-/// Shared-model memory layout for the native backends.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum ModelLayoutSpec {
-    /// Entries packed contiguously — the default.
-    #[default]
-    Compact,
-    /// One entry per 64-byte cache line (kills false sharing at small d).
-    Padded,
-}
-
-impl ModelLayoutSpec {
-    /// Canonical CLI/JSON name.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Compact => "compact",
-            Self::Padded => "padded",
-        }
-    }
-}
-
-impl std::str::FromStr for ModelLayoutSpec {
-    type Err = DriverError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "compact" => Ok(Self::Compact),
-            "padded" => Ok(Self::Padded),
-            other => Err(DriverError::InvalidSpec(format!(
-                "unknown layout `{other}` (known: compact, padded)"
-            ))),
-        }
-    }
-}
-
-/// Memory ordering of the native shared model's reads and `fetch&add`s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum UpdateOrderSpec {
-    /// Sequentially consistent — the §2 model, paper-faithful. The default.
-    #[default]
-    SeqCst,
-    /// Relaxed loads / AcqRel CAS: same per-entry atomicity and update
-    /// conservation, no total order across entries.
-    Relaxed,
-}
-
-impl UpdateOrderSpec {
-    /// Canonical CLI/JSON name.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::SeqCst => "seqcst",
-            Self::Relaxed => "relaxed",
-        }
-    }
-}
-
-impl std::str::FromStr for UpdateOrderSpec {
-    type Err = DriverError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "seqcst" => Ok(Self::SeqCst),
-            "relaxed" => Ok(Self::Relaxed),
-            other => Err(DriverError::InvalidSpec(format!(
-                "unknown order `{other}` (known: seqcst, relaxed)"
-            ))),
-        }
-    }
-}
-
 /// Dense-vs-sparse gradient path selection.
 ///
 /// Native backends interpret `Auto` as "sparse iff the oracle's support
@@ -175,7 +101,6 @@ impl std::str::FromStr for UpdateOrderSpec {
 /// dense op scan as paper-faithful and only declares sparse ops under
 /// `Sparse` (for oracles with the two-phase decomposition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SparsePathSpec {
     /// Let each backend pick (native: by Δ vs d; simulated: dense).
     #[default]
@@ -215,24 +140,27 @@ impl std::str::FromStr for SparsePathSpec {
 
 /// Parameter-store sharding for the native backends (simulated registers
 /// have no arenas; ignored there, as is the serializing locked baseline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardsSpec {
-    /// One flat arena — the default.
-    #[default]
-    Flat,
     /// Derive the shard count from the detected topology.
     Auto,
-    /// Exactly this many balanced contiguous shards (clamped to `1..=d`).
+    /// At most this many power-of-two chunks (clamped to `1..=d`); chunk
+    /// rounding can realise fewer, and the report carries the realised
+    /// count. `Fixed(1)`, one flat arena, is the default.
     Fixed(usize),
 }
 
+impl Default for ShardsSpec {
+    fn default() -> Self {
+        Self::Fixed(1)
+    }
+}
+
 impl ShardsSpec {
-    /// Canonical CLI/JSON rendering (`flat`, `auto`, or the count).
+    /// Canonical CLI/JSON rendering (`auto` or the count).
     #[must_use]
     pub fn label(self) -> String {
         match self {
-            Self::Flat => "flat".to_string(),
             Self::Auto => "auto".to_string(),
             Self::Fixed(n) => n.to_string(),
         }
@@ -244,7 +172,6 @@ impl std::str::FromStr for ShardsSpec {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "flat" => Ok(Self::Flat),
             "auto" => Ok(Self::Auto),
             other => other
                 .parse::<usize>()
@@ -253,7 +180,7 @@ impl std::str::FromStr for ShardsSpec {
                 .map(Self::Fixed)
                 .ok_or_else(|| {
                     DriverError::InvalidSpec(format!(
-                        "unknown shards `{other}` (known: flat, auto, or a count >= 1)"
+                        "unknown shards `{other}` (known: auto, or a count >= 1)"
                     ))
                 }),
         }
@@ -263,7 +190,6 @@ impl std::str::FromStr for ShardsSpec {
 /// Worker-to-core pinning for the native backends (best effort; the
 /// simulator has no OS threads to pin).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PinSpec {
     /// Do not pin — the default.
     #[default]
@@ -299,7 +225,6 @@ impl std::str::FromStr for PinSpec {
 
 /// Step-size schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StepSize {
     /// Constant learning rate `α`.
     Constant {
@@ -351,7 +276,6 @@ impl StepSize {
 /// Scheduler (adversary) selection for the simulated backends. Native
 /// backends ignore it — the OS is their scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SchedulerSpec {
     /// Thread 0 runs to completion, then thread 1, …
     Serial,
@@ -454,7 +378,6 @@ impl std::str::FromStr for SchedulerSpec {
 /// schedule, success region and seed. The same spec runs unchanged on every
 /// compatible [`BackendKind`].
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSpec {
     /// Workload, built by name through the oracle registry.
     pub oracle: OracleSpec,
@@ -478,12 +401,6 @@ pub struct RunSpec {
     pub scheduler: SchedulerSpec,
     /// Step cap for simulated backends (needed with starving adversaries).
     pub max_steps: Option<u64>,
-    /// Shared-model layout for native backends (simulated registers have no
-    /// cache lines; ignored there).
-    pub layout: ModelLayoutSpec,
-    /// Memory ordering for native backends (the simulator is sequentially
-    /// consistent by construction; ignored there).
-    pub order: UpdateOrderSpec,
     /// Dense-vs-sparse gradient path.
     pub sparse: SparsePathSpec,
     /// Parameter-store sharding for native backends (ignored by the
@@ -516,10 +433,8 @@ impl RunSpec {
             seed: 0,
             scheduler: SchedulerSpec::RoundRobin,
             max_steps: None,
-            layout: ModelLayoutSpec::Compact,
-            order: UpdateOrderSpec::SeqCst,
             sparse: SparsePathSpec::Auto,
-            shards: ShardsSpec::Flat,
+            shards: ShardsSpec::Fixed(1),
             pin: PinSpec::Off,
             trajectory_stride: None,
         }
@@ -599,20 +514,6 @@ impl RunSpec {
         self
     }
 
-    /// Selects the native shared-model layout.
-    #[must_use]
-    pub fn layout(mut self, layout: ModelLayoutSpec) -> Self {
-        self.layout = layout;
-        self
-    }
-
-    /// Selects the native memory ordering.
-    #[must_use]
-    pub fn order(mut self, order: UpdateOrderSpec) -> Self {
-        self.order = order;
-        self
-    }
-
     /// Selects the dense-vs-sparse gradient path.
     #[must_use]
     pub fn sparse(mut self, sparse: SparsePathSpec) -> Self {
@@ -688,12 +589,6 @@ mod tests {
 
     #[test]
     fn tuning_labels_parse_back() {
-        for layout in [ModelLayoutSpec::Compact, ModelLayoutSpec::Padded] {
-            assert_eq!(layout.label().parse::<ModelLayoutSpec>().unwrap(), layout);
-        }
-        for order in [UpdateOrderSpec::SeqCst, UpdateOrderSpec::Relaxed] {
-            assert_eq!(order.label().parse::<UpdateOrderSpec>().unwrap(), order);
-        }
         for sparse in [
             SparsePathSpec::Auto,
             SparsePathSpec::Dense,
@@ -701,36 +596,34 @@ mod tests {
         ] {
             assert_eq!(sparse.label().parse::<SparsePathSpec>().unwrap(), sparse);
         }
-        for shards in [ShardsSpec::Flat, ShardsSpec::Auto, ShardsSpec::Fixed(12)] {
+        for shards in [
+            ShardsSpec::Fixed(1),
+            ShardsSpec::Auto,
+            ShardsSpec::Fixed(12),
+        ] {
             assert_eq!(shards.label().parse::<ShardsSpec>().unwrap(), shards);
         }
         for pin in [PinSpec::Off, PinSpec::On] {
             assert_eq!(pin.label().parse::<PinSpec>().unwrap(), pin);
         }
-        assert!("banana".parse::<ModelLayoutSpec>().is_err());
-        assert!("banana".parse::<UpdateOrderSpec>().is_err());
         assert!("banana".parse::<SparsePathSpec>().is_err());
         assert!("banana".parse::<ShardsSpec>().is_err());
         assert!("0".parse::<ShardsSpec>().is_err(), "zero shards rejected");
+        assert!("flat".parse::<ShardsSpec>().is_err(), "the flat store is 1");
         assert!("banana".parse::<PinSpec>().is_err());
     }
 
     #[test]
     fn tuning_builders_apply_and_default_is_paper_faithful() {
         let spec = RunSpec::new(OracleSpec::new("noisy-quadratic", 2), BackendKind::Hogwild);
-        assert_eq!(spec.layout, ModelLayoutSpec::Compact);
-        assert_eq!(spec.order, UpdateOrderSpec::SeqCst);
         assert_eq!(spec.sparse, SparsePathSpec::Auto);
-        assert_eq!(spec.shards, ShardsSpec::Flat);
+        assert_eq!(spec.shards, ShardsSpec::Fixed(1));
+        assert_eq!(spec.shards, ShardsSpec::default());
         assert_eq!(spec.pin, PinSpec::Off);
         let spec = spec
-            .layout(ModelLayoutSpec::Padded)
-            .order(UpdateOrderSpec::Relaxed)
             .sparse(SparsePathSpec::Sparse)
             .shards(ShardsSpec::Fixed(4))
             .pin(PinSpec::On);
-        assert_eq!(spec.layout, ModelLayoutSpec::Padded);
-        assert_eq!(spec.order, UpdateOrderSpec::Relaxed);
         assert_eq!(spec.sparse, SparsePathSpec::Sparse);
         assert_eq!(spec.shards, ShardsSpec::Fixed(4));
         assert_eq!(spec.pin, PinSpec::On);

@@ -349,7 +349,6 @@ struct CellDerivation {
 /// One `(backend, n, ε)` cell of a [`ValidationReport`]: the derived
 /// configuration, the measured failure estimate, and the verdict.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ValidationCell {
     /// Backend name (see [`BackendKind::name`]).
     pub backend: String,
@@ -465,7 +464,6 @@ impl ValidationCell {
 /// Serialises to JSON with the exact-round-trip contract of
 /// [`RunReport`](crate::RunReport).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ValidationReport {
     /// Oracle kind the grid ran.
     pub oracle: String,

@@ -16,16 +16,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An atomically updatable `f64`.
 ///
-/// The default operations use sequentially consistent ordering, matching the
-/// sequentially consistent shared-memory model assumed in §2 of the paper —
-/// the *paper-faithful* mode. The `_relaxed` variants
-/// ([`AtomicF64::load_relaxed`], [`AtomicF64::fetch_add_relaxed`]) trade
-/// that global order for hardware speed: per-entry atomicity and update
-/// conservation (no lost `fetch&add`) still hold — those come from the CAS
-/// loop, not the fence — but distinct entries may be observed out of order.
-/// Algorithm 1's convergence analysis only needs atomic per-entry reads and
-/// non-lost updates, so the relaxed mode is offered as an executor knob
-/// (`UpdateOrder::Relaxed`) while SeqCst remains the default.
+/// Loads, stores and successful CASes are sequentially consistent, matching
+/// the sequentially consistent shared-memory model assumed in §2 of the
+/// paper.
+/// (On x86-64 a relaxed load and CAS loop compile to the same `mov` and
+/// `lock cmpxchg` instructions, so a weaker ordering would buy nothing
+/// there.)
 ///
 /// # Example
 ///
@@ -56,20 +52,13 @@ impl AtomicF64 {
         f64::from_bits(self.bits.load(Ordering::SeqCst))
     }
 
-    /// Atomically reads the value with relaxed ordering (still a single
-    /// atomic load — no torn reads — but no cross-entry ordering).
-    #[must_use]
-    pub fn load_relaxed(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-
     /// Atomically writes the value.
     pub fn store(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::SeqCst);
     }
 
     /// Atomic `fetch&add`: adds `delta` and returns the *previous* value —
-    /// the primitive of Algorithm 1, line 7 (paper-faithful SeqCst mode).
+    /// the primitive of Algorithm 1, line 7.
     pub fn fetch_add(&self, delta: f64) -> f64 {
         // A failed CAS only needs the freshly observed value, not a fence:
         // Relaxed failure ordering, with a spin hint before the retry (the
@@ -81,31 +70,6 @@ impl AtomicF64 {
                 current,
                 new.to_bits(),
                 Ordering::SeqCst,
-                Ordering::Relaxed,
-            ) {
-                Ok(prev) => return f64::from_bits(prev),
-                Err(actual) => {
-                    std::hint::spin_loop();
-                    current = actual;
-                }
-            }
-        }
-    }
-
-    /// Atomic `fetch&add` with relaxed ordering: a Relaxed load feeding an
-    /// `AcqRel`-on-success / Relaxed-on-failure CAS loop. Update
-    /// conservation is identical to [`AtomicF64::fetch_add`] (the CAS makes
-    /// the read-modify-write atomic either way); what is given up is the
-    /// single total order across *different* entries, which Algorithm 1's
-    /// inconsistent-view analysis tolerates by design.
-    pub fn fetch_add_relaxed(&self, delta: f64) -> f64 {
-        let mut current = self.bits.load(Ordering::Relaxed);
-        loop {
-            let new = f64::from_bits(current) + delta;
-            match self.bits.compare_exchange_weak(
-                current,
-                new.to_bits(),
-                Ordering::AcqRel,
                 Ordering::Relaxed,
             ) {
                 Ok(prev) => return f64::from_bits(prev),
@@ -138,9 +102,8 @@ impl AtomicF64 {
 
 /// A value alone on its own 64-byte cache line.
 ///
-/// Shared by the padded model layout (one entry per line) and the sharded
-/// store's per-shard update counters (one counter per line): in both cases
-/// the point is that threads hammering *different* cells must not ping-pong
+/// Used for the parameter store's per-shard update counters (one counter
+/// per line): threads hammering *different* counters must not ping-pong
 /// one line between cores. The alignment matches the coherency line size of
 /// every x86-64 and most AArch64 parts; on CPUs with larger lines the type
 /// still removes the worst of the false sharing.
@@ -237,43 +200,6 @@ mod tests {
             }
         });
         assert_eq!(x.load(), 1000.0 * (1.0 + 2.0 + 4.0 + 8.0));
-    }
-
-    #[test]
-    fn relaxed_fetch_add_returns_prior_and_loads_agree() {
-        let x = AtomicF64::new(1.0);
-        assert_eq!(x.fetch_add_relaxed(2.0), 1.0);
-        assert_eq!(x.load_relaxed(), 3.0);
-        assert_eq!(x.load(), 3.0);
-    }
-
-    #[test]
-    fn mixed_ordering_fetch_adds_conserve_the_sum() {
-        // The two-ordering conservation property: interleaving SeqCst and
-        // relaxed fetch&adds on one cell must still lose no update — the
-        // CAS loop, not the memory fence, is what makes the RMW atomic.
-        let x = Arc::new(AtomicF64::new(0.0));
-        let threads = 8;
-        let per_thread = 10_000;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let x = Arc::clone(&x);
-                s.spawn(move || {
-                    // Exact powers of two so the expected total is exact in
-                    // binary floating point under any interleaving.
-                    let delta = 2.0_f64.powi(t % 4);
-                    for _ in 0..per_thread {
-                        if t % 2 == 0 {
-                            x.fetch_add(delta);
-                        } else {
-                            x.fetch_add_relaxed(delta);
-                        }
-                    }
-                });
-            }
-        });
-        let expected = f64::from(per_thread) * 2.0 * (1.0 + 2.0 + 4.0 + 8.0);
-        assert_eq!(x.load(), expected);
     }
 
     #[test]

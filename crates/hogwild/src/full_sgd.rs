@@ -87,7 +87,7 @@ impl<O: GradientOracle> NativeFullSgd<O> {
         }
     }
 
-    /// Overrides the execution tuning (layout, ordering, sparse policy).
+    /// Overrides the execution tuning (sparse policy, shards, pinning).
     #[must_use]
     pub fn tuning(mut self, tuning: ExecTuning) -> Self {
         self.tuning = tuning;
@@ -117,7 +117,7 @@ impl<O: GradientOracle> NativeFullSgd<O> {
         assert_eq!(x0.len(), d, "x0 dimension mismatch");
         let total_epochs = self.cfg.halving_epochs + 1;
 
-        // Per-epoch stores (flat or sharded per the tuning); epoch 0 seeded
+        // Per-epoch stores (sharded per the tuning); epoch 0 seeded
         // with x₀, later epochs zeroed until their init winner copies the
         // predecessor in.
         let models: Vec<ParamStore> = (0..total_epochs)

@@ -50,9 +50,10 @@ fn unpack(word: u64) -> (u32, f32) {
 /// the single-word-CAS rendition of the paper's DCAS epoch guard.
 ///
 /// The packed words live in a [`ShardedVec`]: the same router-backed
-/// per-range arenas as the sharded `f64` store, so the guarded executor's
-/// claim loop routes through the shard layer like the plain lock-free one
-/// ([`GuardedModel::new`] builds the degenerate single-shard layout).
+/// per-range arenas as the `f64` [`ParamStore`](crate::ParamStore), so the
+/// guarded executor's claim loop routes through the shard layer like the
+/// plain lock-free one ([`GuardedModel::new`] builds the single-shard
+/// layout).
 #[derive(Debug)]
 pub struct GuardedModel {
     entries: ShardedVec<AtomicU64>,
@@ -68,14 +69,14 @@ impl GuardedModel {
 
     /// Like [`GuardedModel::new`] with at most `shards` power-of-two chunked
     /// arenas (clamped to `1..=d`; shift-and-mask routing, same chunk
-    /// rounding as [`crate::ShardedModel::with_options`]).
+    /// rounding as [`crate::ParamStore::new`]).
     ///
     /// # Panics
     ///
     /// Panics if `x0` is empty.
     #[must_use]
     pub fn with_shards(x0: &[f64], shards: usize) -> Self {
-        let router = ShardRouter::pow2(x0.len(), shards);
+        let router = ShardRouter::new(x0.len(), shards);
         Self {
             entries: ShardedVec::from_fn(router, |j| AtomicU64::new(pack(0, x0[j] as f32))),
         }
@@ -291,8 +292,8 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
         }
     }
 
-    /// Overrides the execution tuning (sparse policy and check stride; the
-    /// layout/ordering knobs do not apply to the packed guard words).
+    /// Overrides the execution tuning (sparse policy, shards and check
+    /// stride).
     #[must_use]
     pub fn tuning(mut self, tuning: ExecTuning) -> Self {
         self.tuning = tuning;
@@ -335,7 +336,7 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
             })
             .collect();
 
-        let model = GuardedModel::with_shards(x0, self.tuning.shards.resolve(d).unwrap_or(1));
+        let model = GuardedModel::with_shards(x0, self.tuning.shards.resolve(d));
         let counters: Vec<AtomicU64> = (0..epochs).map(|_| AtomicU64::new(0)).collect();
         // advance[e] guards the transition into epoch e (0 = pending,
         // 1 = advancing, 2 = done); epoch 0 needs no transition.

@@ -75,7 +75,7 @@ impl HogwildReport {
 /// the O(Δ) path: no full view scan, per-entry atomic reads of just the
 /// gradient's support, Δ `fetch&add`s — the d/Δ cost factor the paper's
 /// sparsity parameterisation promises. [`Hogwild::tuning`] selects the path
-/// and the shared model's layout/ordering.
+/// and the shared model's shard count.
 #[derive(Debug)]
 pub struct Hogwild<O> {
     oracle: O,
@@ -84,8 +84,8 @@ pub struct Hogwild<O> {
 }
 
 impl<O: GradientOracle> Hogwild<O> {
-    /// Creates the executor with default [`ExecTuning`] (paper-faithful
-    /// ordering, compact layout, automatic sparse-path selection).
+    /// Creates the executor with default [`ExecTuning`] (one-shard store,
+    /// automatic sparse-path selection).
     ///
     /// # Panics
     ///
@@ -104,7 +104,7 @@ impl<O: GradientOracle> Hogwild<O> {
         }
     }
 
-    /// Overrides the execution tuning (layout, ordering, sparse policy).
+    /// Overrides the execution tuning (sparse policy, shards, pinning).
     #[must_use]
     pub fn tuning(mut self, tuning: ExecTuning) -> Self {
         self.tuning = tuning;
@@ -135,8 +135,8 @@ impl<O: GradientOracle> Hogwild<O> {
         assert_eq!(x0.len(), d, "x0 dimension mismatch");
         // The store and claim counter live in `Arc`s so a serving attachment
         // can keep reading them after this call returns (one allocation per
-        // run — irrelevant next to the model itself). The store is flat or
-        // sharded per `ExecTuning::shards`; the claim loop is oblivious.
+        // run — irrelevant next to the model itself). The store is sharded
+        // per `ExecTuning::shards`; the claim loop is oblivious.
         let model = Arc::new(ParamStore::with_tuning(x0, &self.tuning));
         let counter = Arc::new(AtomicU64::new(0));
         // Snapshot storage, only when a serving hook is attached.
@@ -485,33 +485,29 @@ mod tests {
 
     #[test]
     fn tuned_variants_converge_multithreaded() {
-        use crate::model::{ModelLayout, UpdateOrder};
-        use crate::tuning::ExecTuning;
+        use crate::tuning::{ExecTuning, ShardPolicy};
         let oracle = Arc::new(NoisyQuadratic::new(4, 0.1).unwrap());
-        for layout in [ModelLayout::Compact, ModelLayout::Padded] {
-            for order in [UpdateOrder::SeqCst, UpdateOrder::Relaxed] {
-                let report = Hogwild::new(
-                    Arc::clone(&oracle),
-                    HogwildConfig {
-                        threads: 4,
-                        iterations: 20_000,
-                        alpha: 0.02,
-                        seed: 3,
-                        success_radius_sq: None,
-                    },
-                )
-                .tuning(ExecTuning {
-                    layout,
-                    order,
-                    ..ExecTuning::default()
-                })
-                .run(&[2.0, -2.0, 1.0, -1.0]);
-                assert!(
-                    report.final_dist_sq < 0.05,
-                    "{layout:?}/{order:?}: dist² {}",
-                    report.final_dist_sq
-                );
-            }
+        for shards in [1, 4] {
+            let report = Hogwild::new(
+                Arc::clone(&oracle),
+                HogwildConfig {
+                    threads: 4,
+                    iterations: 20_000,
+                    alpha: 0.02,
+                    seed: 3,
+                    success_radius_sq: None,
+                },
+            )
+            .tuning(ExecTuning {
+                shards: ShardPolicy::Fixed(shards),
+                ..ExecTuning::default()
+            })
+            .run(&[2.0, -2.0, 1.0, -1.0]);
+            assert!(
+                report.final_dist_sq < 0.05,
+                "{shards} shards: dist² {}",
+                report.final_dist_sq
+            );
         }
     }
 

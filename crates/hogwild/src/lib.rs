@@ -6,20 +6,18 @@
 //! an `AtomicU64`, and gradient entries are applied with `fetch&add` (a CAS
 //! loop on `f64` bits, [`atomic::AtomicF64`]). This crate provides:
 //!
-//! * [`atomic`] — `AtomicF64` with lock-free `fetch_add` (SeqCst and
-//!   relaxed variants);
-//! * [`model`] — the shared parameter vector, with compact or cache-line-
-//!   padded layouts and a paper-faithful-vs-relaxed ordering knob;
-//! * [`shard`] — the topology-aware sharded parameter store: contiguous
-//!   index ranges routed (shift-and-mask, or exact ranges for ragged
-//!   dimensions) to per-shard arenas with per-shard update counters, and
-//!   [`ParamStore`], the flat-or-sharded enum every native claim loop
-//!   actually holds;
+//! * [`atomic`] — `AtomicF64` with lock-free sequentially consistent
+//!   `fetch_add`;
+//! * [`shard`] — [`ParamStore`], the one shared parameter vector every
+//!   native claim loop holds: contiguous power-of-two index ranges routed
+//!   shift-and-mask to per-shard arenas (one shard by default, or a count
+//!   derived from the topology), with per-shard counters of applied
+//!   updates;
 //! * [`pin`] — best-effort worker-to-core pinning (enabled by
 //!   `ExecTuning::pin`);
-//! * [`tuning`] — [`ExecTuning`]: the layout/ordering/sparse-path knobs
-//!   every native executor accepts; Δ-sparse oracles get an O(Δ) hot loop
-//!   instead of the O(d) dense scan;
+//! * [`tuning`] — [`ExecTuning`]: the sparse-path, shard-count and pinning
+//!   knobs every native executor accepts; Δ-sparse oracles get an O(Δ) hot
+//!   loop instead of the O(d) dense scan;
 //! * [`control`] — [`RunControl`]: a cooperative stop flag and a strided
 //!   metrics sink threaded into every executor's claim loop (the
 //!   `run_controlled` entry points), with cancellation latency bounded by
@@ -79,7 +77,6 @@ pub mod full_sgd;
 pub mod guarded;
 pub mod hogwild;
 pub mod locked;
-pub mod model;
 pub mod pin;
 pub mod shard;
 pub mod snapshot;
@@ -91,7 +88,6 @@ pub use full_sgd::{NativeFullSgd, NativeFullSgdConfig, NativeFullSgdReport};
 pub use guarded::{GuardedEpochSgd, GuardedEpochSgdConfig, GuardedEpochSgdReport, GuardedModel};
 pub use hogwild::{Hogwild, HogwildConfig, HogwildReport};
 pub use locked::{LockedSgd, LockedSgdReport};
-pub use model::{ModelLayout, SharedModel, UpdateOrder};
-pub use shard::{ParamStore, ShardRouter, ShardTopology, ShardedModel, ShardedVec, StoreWriter};
+pub use shard::{ParamStore, ShardRouter, ShardTopology, ShardedVec, StoreWriter};
 pub use snapshot::{ModelReader, ModelSnapshot, PublishListener, ServeHook, SnapshotCell};
 pub use tuning::{ExecTuning, ShardPolicy, SparsePolicy};

@@ -58,8 +58,8 @@ pub struct LockedSgd<O> {
 
 impl<O: GradientOracle> LockedSgd<O> {
     /// Creates the executor with default [`ExecTuning`] (only the sparse
-    /// knob applies — the model lives under one mutex, so layout/ordering
-    /// are moot).
+    /// knob applies — the model lives under one mutex, so sharding is
+    /// moot).
     ///
     /// # Panics
     ///

@@ -1,49 +1,45 @@
-//! Topology-aware sharded parameter storage.
+//! The shared parameter store `X[d]`, split into per-range arenas.
 //!
-//! Nothing in the paper's analysis requires the shared iterate `X` to live
-//! in one flat allocation: the adversary model only needs per-entry atomic
-//! reads and non-lost `fetch&add`s. At `d = 10M+` a single `Vec<AtomicF64>`
-//! leaves locality on the table — every NUMA node and cache slice hammers
-//! one arena. This module splits the iterate into contiguous index ranges
-//! (*shards*), each backed by its own arena allocation:
+//! The paper's machine (§2, Algorithm 1) has one shared array read entry by
+//! entry and updated with per-entry atomic `fetch&add`. Nothing in the
+//! analysis requires that array to live in one allocation: the adversary
+//! model only needs per-entry atomic reads and non-lost `fetch&add`s. At
+//! `d = 10M+` a single arena leaves locality on the table — every NUMA node
+//! and cache slice hammers one allocation — so the store can split the
+//! iterate into contiguous index ranges (*shards*), each backed by its own
+//! arena. One shard, the default, is the plain flat array:
 //!
 //! * [`ShardTopology`] — detected core count and coherency-line size (with
-//!   explicit overrides) from which a default shard count is derived;
-//! * [`ShardRouter`] — the index→(shard, offset) map. The hot path is
-//!   binary-search-free: power-of-two chunk sizes make routing a shift and a
-//!   mask. Ragged dimensions that cannot be chunked this way fall back to an
-//!   exact range table walked by binary search;
+//!   explicit overrides) from which the `auto` shard count is derived;
+//! * [`ShardRouter`] — the index→(shard, offset) map. Chunk sizes are powers
+//!   of two, so routing is a shift and a mask — no table, no search;
 //! * [`ShardedVec`] — a generic routed arena container (the sharded twin of
 //!   a `Vec<T>`), reused by [`GuardedModel`](crate::GuardedModel) for its
 //!   epoch-tagged words;
-//! * [`ShardedModel`] — the `AtomicF64` store behind the router, plus one
-//!   cache-line-padded update counter per shard. Every applied `fetch&add`
-//!   bumps its shard's counter, so the counters are a *measured* per-range
-//!   update rate — the per-shard τ a delay-adaptive backend can consume —
-//!   and [`ShardedModel::coherent_update_counts`] reads them as an
+//! * [`ParamStore`] — the `AtomicF64` store behind the router, plus one
+//!   cache-line-padded counter of applied updates per shard. The counters
+//!   count `fetch&add`s landed in each range — they are not delays (τ) —
+//!   and [`ParamStore::coherent_update_counts`] reads them as an
 //!   instantaneous cross-shard vector via double-collect validation. The
 //!   serving tier's stats-scrape mirrors these counters into the
 //!   process-wide telemetry registry (`asgd-telemetry`) as
 //!   `asgd_shard_updates_total{model=…,shard=…}` counters plus derived
 //!   `asgd_shard_update_rate` and `asgd_shard_claim_gap` gauges, and the
 //!   registry's snapshot uses this same double-collect protocol;
-//! * [`ParamStore`] — the executor-facing enum over the flat
-//!   [`SharedModel`] and the sharded store. Enum dispatch costs one
-//!   predictable branch next to the atomic op it guards, and spares every
-//!   claim loop a generics explosion.
+//! * [`StoreWriter`] — the per-worker write handle claim loops update
+//!   through, batching the counter bumps.
 //!
-//! Values are bit-identical across stores by construction: routing never
-//! changes *which* `AtomicF64` cell an index denotes, only where the cell
-//! lives, so a 1-shard `ShardedModel` and a `SharedModel` perform the exact
-//! same reads and CAS loops in the exact same order.
+//! Values are bit-identical across shard counts by construction: routing
+//! never changes *which* `AtomicF64` cell an index denotes, only where the
+//! cell lives, so every shard count performs the exact same reads and CAS
+//! loops in the exact same order.
 
 use crate::atomic::{AtomicF64, CacheAligned};
-use crate::model::{SharedModel, UpdateOrder};
 use crate::tuning::{ExecTuning, ShardPolicy};
 use asgd_oracle::ModelView;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Detected (or overridden) machine topology the default shard count is
+/// Detected (or overridden) machine topology the `auto` shard count is
 /// derived from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardTopology {
@@ -79,11 +75,10 @@ impl ShardTopology {
         }
     }
 
-    /// The default shard count for a `d`-dimensional model: one shard per
+    /// The `auto` shard count for a `d`-dimensional model: one shard per
     /// core rounded up to a power of two (shift-and-mask routing), but never
     /// so many that a shard would span less than one coherency line of
-    /// entries — at tiny `d` sharding cannot beat the padded flat layout and
-    /// collapses to a single shard.
+    /// entries — at tiny `d` it collapses to a single shard.
     #[must_use]
     pub fn auto_shards(&self, d: usize) -> usize {
         let per_line = (self.cache_line / std::mem::size_of::<f64>()).max(1);
@@ -99,51 +94,37 @@ impl ShardTopology {
     }
 }
 
-/// The index→(shard, offset) map.
-///
-/// [`ShardRouter::pow2`] covers every production store: chunk sizes are
-/// powers of two, so routing entry `j` is `j >> shift` and `j & mask` — no
-/// table, no branch, no search — with the final shard allowed to be ragged
-/// (shorter than the chunk) when `d` is not a multiple. [`ShardRouter::
-/// ranged`] is the exact fallback for arbitrary contiguous partitions
-/// (balanced non-power-of-two shard counts, adversarial test partitions):
-/// a sorted bound table routed by `partition_point` binary search.
+/// The index→(shard, offset) map over power-of-two chunks: routing entry
+/// `j` is `j >> shift` and `j & mask`, with the final shard allowed to be
+/// ragged (shorter than the chunk) when `d` is not a multiple.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShardRouter {
-    /// Shift-and-mask routing over power-of-two chunks.
-    Pow2 {
-        /// `log2` of the chunk size.
-        shift: u32,
-        /// `chunk − 1`, the offset mask.
-        mask: usize,
-        /// Shard count (= `ceil(d / chunk)`).
-        shards: usize,
-        /// Total dimension.
-        d: usize,
-    },
-    /// Exact contiguous ranges: `bounds[s] .. bounds[s + 1]` is shard `s`.
-    Ranged {
-        /// `shards + 1` strictly increasing bounds; first `0`, last `d`.
-        bounds: Vec<usize>,
-    },
+pub struct ShardRouter {
+    /// `log2` of the chunk size.
+    shift: u32,
+    /// `chunk − 1`, the offset mask.
+    mask: usize,
+    /// Shard count (= `ceil(d / chunk)`).
+    shards: usize,
+    /// Total dimension.
+    d: usize,
 }
 
 impl ShardRouter {
-    /// A power-of-two router splitting `d` entries into at most `shards`
-    /// chunks (clamped to `1..=d`). The chunk is `ceil(d / shards)` rounded
-    /// up to a power of two, so the realised shard count can be lower than
-    /// requested when rounding swallows a chunk; the last shard is ragged
-    /// when `d` is not a chunk multiple.
+    /// A router splitting `d` entries into at most `shards` chunks (clamped
+    /// to `1..=d`). The chunk is `ceil(d / shards)` rounded up to a power of
+    /// two, so the realised shard count can be lower than requested when
+    /// rounding swallows a chunk; the last shard is ragged when `d` is not a
+    /// chunk multiple.
     ///
     /// # Panics
     ///
     /// Panics if `d == 0`.
     #[must_use]
-    pub fn pow2(d: usize, shards: usize) -> Self {
+    pub fn new(d: usize, shards: usize) -> Self {
         assert!(d > 0, "cannot route an empty model");
         let shards = shards.clamp(1, d);
         let chunk = d.div_ceil(shards).next_power_of_two();
-        Self::Pow2 {
+        Self {
             shift: chunk.trailing_zeros(),
             mask: chunk - 1,
             shards: d.div_ceil(chunk),
@@ -151,83 +132,26 @@ impl ShardRouter {
         }
     }
 
-    /// An exact-range router over the given bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `bounds` starts at 0, ends at `d > 0`, and is strictly
-    /// increasing (every shard non-empty).
-    #[must_use]
-    pub fn ranged(bounds: Vec<usize>) -> Self {
-        assert!(bounds.len() >= 2, "need at least one range");
-        assert_eq!(bounds[0], 0, "ranges must start at 0");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "range bounds must be strictly increasing"
-        );
-        Self::Ranged { bounds }
-    }
-
-    /// A router with `shards` balanced contiguous ranges (sizes differing by
-    /// at most one): power-of-two routing when the balanced chunk is exactly
-    /// a power of two, the exact-range fallback otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d == 0`.
-    #[must_use]
-    pub fn balanced(d: usize, shards: usize) -> Self {
-        assert!(d > 0, "cannot route an empty model");
-        let shards = shards.clamp(1, d);
-        let chunk = d.div_ceil(shards);
-        if chunk.is_power_of_two() && d.div_ceil(chunk) == shards {
-            return Self::pow2(d, shards);
-        }
-        let (base, extra) = (d / shards, d % shards);
-        let mut bounds = Vec::with_capacity(shards + 1);
-        let mut at = 0;
-        bounds.push(0);
-        for s in 0..shards {
-            at += base + usize::from(s < extra);
-            bounds.push(at);
-        }
-        Self::ranged(bounds)
-    }
-
     /// Total dimension routed.
     #[must_use]
     pub fn dimension(&self) -> usize {
-        match self {
-            Self::Pow2 { d, .. } => *d,
-            Self::Ranged { bounds } => *bounds.last().expect("validated non-empty"),
-        }
+        self.d
     }
 
     /// Number of shards.
     #[must_use]
     pub fn shard_count(&self) -> usize {
-        match self {
-            Self::Pow2 { shards, .. } => *shards,
-            Self::Ranged { bounds } => bounds.len() - 1,
-        }
+        self.shards
     }
 
     /// Routes entry `j` to `(shard, offset)`.
     ///
-    /// # Panics
-    ///
-    /// May panic (or return an out-of-range shard) if `j ≥ d`; arena lookups
-    /// bounds-check downstream.
+    /// Returns an out-of-range shard if `j ≥ d`; arena lookups bounds-check
+    /// downstream.
     #[inline]
     #[must_use]
     pub fn route(&self, j: usize) -> (usize, usize) {
-        match self {
-            Self::Pow2 { shift, mask, .. } => (j >> shift, j & mask),
-            Self::Ranged { bounds } => {
-                let s = bounds.partition_point(|&b| b <= j) - 1;
-                (s, j - bounds[s])
-            }
-        }
+        (j >> self.shift, j & self.mask)
     }
 
     /// The index range shard `s` covers.
@@ -237,15 +161,8 @@ impl ShardRouter {
     /// Panics if `s ≥ shard_count()`.
     #[must_use]
     pub fn range(&self, s: usize) -> std::ops::Range<usize> {
-        match self {
-            Self::Pow2 {
-                shift, shards, d, ..
-            } => {
-                assert!(s < *shards, "shard {s} out of range");
-                (s << shift)..(((s + 1) << shift).min(*d))
-            }
-            Self::Ranged { bounds } => bounds[s]..bounds[s + 1],
-        }
+        assert!(s < self.shards, "shard {s} out of range");
+        (s << self.shift)..(((s + 1) << self.shift).min(self.d))
     }
 }
 
@@ -322,78 +239,78 @@ impl<'a, T> IntoIterator for &'a ShardedVec<T> {
     }
 }
 
-/// How many times [`ShardedModel::coherent_update_counts`] re-collects
-/// before settling for the (still per-entry-atomic) last collect.
+/// How many times [`ParamStore::coherent_update_counts`] re-collects before
+/// settling for the (still per-entry-atomic) last collect.
 const COHERENT_RETRIES: usize = 16;
 
-/// The sharded `AtomicF64` parameter store: per-shard arenas behind a
-/// [`ShardRouter`], plus one cache-line-padded update counter per shard.
+/// The shared parameter vector every native claim loop holds: per-shard
+/// `AtomicF64` arenas behind a [`ShardRouter`], plus one cache-line-padded
+/// update counter per shard.
 ///
-/// Access semantics are identical to [`SharedModel`] — per-entry atomic
-/// reads, CAS-loop `fetch&add` — with one addition: every applied
-/// `fetch&add` bumps its shard's counter (relaxed; the counter is a
-/// monotone progress observation, not a synchronisation edge). The counters
-/// are the measured per-range update rate τ.
+/// Access follows Algorithm 1 exactly: entry-wise sequentially consistent
+/// reads (building a possibly inconsistent view) and entry-wise CAS-loop
+/// `fetch&add`s. Every applied `fetch&add` is also counted against its
+/// shard (relaxed; the counter is a monotone progress observation, not a
+/// synchronisation edge). Built from [`ExecTuning`] so every executor
+/// resolves the shard policy identically; the default is one shard.
 #[derive(Debug)]
-pub struct ShardedModel {
+pub struct ParamStore {
     entries: ShardedVec<AtomicF64>,
     counters: Vec<CacheAligned<AtomicU64>>,
-    order: UpdateOrder,
 }
 
-impl ShardedModel {
-    /// Creates a store initialised to `x0` behind an explicit router.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router's dimension differs from `x0.len()`.
-    #[must_use]
-    pub fn with_router(x0: &[f64], router: ShardRouter, order: UpdateOrder) -> Self {
-        assert_eq!(router.dimension(), x0.len(), "router dimension mismatch");
-        let entries = ShardedVec::from_fn(router, |j| AtomicF64::new(x0[j]));
-        let counters = (0..entries.router().shard_count())
-            .map(|_| CacheAligned(AtomicU64::new(0)))
-            .collect();
-        Self {
-            entries,
-            counters,
-            order,
-        }
-    }
-
-    /// Creates a store initialised to `x0` with at most `shards` power-of-two
-    /// chunked ranges — always shift-and-mask routing, never the exact-range
-    /// binary search (whose per-access bounds loads serialise address
-    /// generation against the atomics and halve random-access throughput at
-    /// DRAM-resident `d`). Chunk rounding can realise fewer shards than
-    /// requested; [`ShardedModel::shard_count`] reports the realised count.
+impl ParamStore {
+    /// Creates a store initialised to `x0` with at most `shards`
+    /// power-of-two chunked ranges. Chunk rounding can realise fewer shards
+    /// than requested; [`ParamStore::shard_count`] reports the realised
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics if `x0` is empty.
     #[must_use]
-    pub fn with_options(x0: &[f64], shards: usize, order: UpdateOrder) -> Self {
-        Self::with_router(x0, ShardRouter::pow2(x0.len(), shards), order)
+    pub fn new(x0: &[f64], shards: usize) -> Self {
+        Self::from_fn(ShardRouter::new(x0.len(), shards), |j| x0[j])
     }
 
-    /// A zero store of dimension `d` (power-of-two chunked, like
-    /// [`ShardedModel::with_options`]), without materialising a temporary
-    /// `vec![0.0; d]`.
+    /// A zero store of dimension `d` (Algorithm 1's `X = (0, …, 0)`),
+    /// without materialising a temporary `vec![0.0; d]`.
     ///
     /// # Panics
     ///
     /// Panics if `d == 0`.
     #[must_use]
-    pub fn zeros_with(d: usize, shards: usize, order: UpdateOrder) -> Self {
-        let router = ShardRouter::pow2(d, shards);
-        let entries = ShardedVec::from_fn(router, |_| AtomicF64::new(0.0));
-        let counters = (0..entries.router().shard_count())
+    pub fn zeros(d: usize, shards: usize) -> Self {
+        Self::from_fn(ShardRouter::new(d, shards), |_| 0.0)
+    }
+
+    /// Builds the store `tuning` asks for, initialised to `x0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x0` is empty.
+    #[must_use]
+    pub fn with_tuning(x0: &[f64], tuning: &ExecTuning) -> Self {
+        Self::new(x0, tuning.shards.resolve(x0.len()))
+    }
+
+    /// A zero store of dimension `d` per `tuning`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `d == 0`.
+    #[must_use]
+    pub fn zeros_with_tuning(d: usize, tuning: &ExecTuning) -> Self {
+        Self::zeros(d, tuning.shards.resolve(d))
+    }
+
+    fn from_fn(router: ShardRouter, init: impl Fn(usize) -> f64) -> Self {
+        let counters = (0..router.shard_count())
             .map(|_| CacheAligned(AtomicU64::new(0)))
             .collect();
         Self {
-            entries,
+            entries: ShardedVec::from_fn(router, |j| AtomicF64::new(init(j))),
             counters,
-            order,
         }
     }
 
@@ -415,12 +332,6 @@ impl ShardedModel {
         self.counters.len()
     }
 
-    /// The update ordering this store was built with.
-    #[must_use]
-    pub fn order(&self) -> UpdateOrder {
-        self.order
-    }
-
     /// Atomically reads entry `j`.
     ///
     /// # Panics
@@ -429,30 +340,26 @@ impl ShardedModel {
     #[inline]
     #[must_use]
     pub fn read(&self, j: usize) -> f64 {
-        let e = self.entries.get(j);
-        match self.order {
-            UpdateOrder::SeqCst => e.load(),
-            UpdateOrder::Relaxed => e.load_relaxed(),
-        }
+        self.entries.get(j).load()
     }
 
-    /// Entry-by-entry inconsistent view scan, walking the shards in index
-    /// order (identical read order to the flat store's scan).
+    /// Reads the whole model entry by entry into `view`, walking the shards
+    /// in index order — the inconsistent scan of Algorithm 1 line 4 (other
+    /// threads may update between entry reads; that is the point).
     ///
     /// # Panics
     ///
     /// Panics if `view.len() != d`.
     pub fn read_view(&self, view: &mut [f64]) {
         assert_eq!(view.len(), self.dimension(), "view dimension mismatch");
-        let mut at = 0;
+        let mut rest = view;
         for s in 0..self.shard_count() {
-            for e in self.entries.shard(s) {
-                view[at] = match self.order {
-                    UpdateOrder::SeqCst => e.load(),
-                    UpdateOrder::Relaxed => e.load_relaxed(),
-                };
-                at += 1;
+            let shard = self.entries.shard(s);
+            let (head, tail) = rest.split_at_mut(shard.len());
+            for (v, e) in head.iter_mut().zip(shard) {
+                *v = e.load();
             }
+            rest = tail;
         }
     }
 
@@ -470,37 +377,13 @@ impl ShardedModel {
     }
 
     /// Atomic `fetch&add` on entry `j` *without* bumping the shard counter,
-    /// returning the owning shard and the prior value.
-    ///
-    /// The building block for [`StoreWriter`]'s batched accounting: the
-    /// counter bump is a second lock-prefixed RMW next to the entry CAS and
-    /// roughly doubles the cost of a cache-hot sparse update, so hot claim
-    /// loops count locally and credit shards in bulk. Callers take on the
-    /// obligation to [`credit_updates`](ShardedModel::credit_updates) the
-    /// returned shard, or the counters undercount forever.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of bounds.
+    /// returning the owning shard and the prior value — the building block
+    /// of [`StoreWriter`]'s batched accounting, which owes the counter its
+    /// credit.
     #[inline]
-    pub fn fetch_add_uncounted(&self, j: usize, delta: f64) -> (usize, f64) {
+    fn fetch_add_uncounted(&self, j: usize, delta: f64) -> (usize, f64) {
         let (s, off) = self.entries.router().route(j);
-        let e = &self.entries.shard(s)[off];
-        let prev = match self.order {
-            UpdateOrder::SeqCst => e.fetch_add(delta),
-            UpdateOrder::Relaxed => e.fetch_add_relaxed(delta),
-        };
-        (s, prev)
-    }
-
-    /// Credits `n` applied updates to shard `s`'s counter in one atomic add
-    /// — the flush half of [`StoreWriter`]'s batched accounting.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn credit_updates(&self, s: usize, n: u64) {
-        self.counters[s].0.fetch_add(n, Ordering::Relaxed);
+        (s, self.entries.shard(s)[off].fetch_add(delta))
     }
 
     /// Atomically overwrites entry `j` (epoch initialisation only — not an
@@ -513,203 +396,13 @@ impl ShardedModel {
         self.entries.get(j).store(value);
     }
 
-    /// Snapshots the store into a fresh vector (see
-    /// [`SharedModel::snapshot`] for the consistency caveat).
+    /// Snapshots the store into a fresh vector (entry-wise atomic reads;
+    /// only consistent when no writers are active).
     #[must_use]
     pub fn snapshot(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.dimension()];
         self.read_view(&mut out);
         out
-    }
-
-    /// Updates applied to shard `s` so far (monotone, relaxed read).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    #[must_use]
-    pub fn shard_updates(&self, s: usize) -> u64 {
-        self.counters[s].0.load(Ordering::Relaxed)
-    }
-
-    /// Total updates applied across all shards (sum of per-shard counters;
-    /// each counter read is atomic, the sum is not an instantaneous state —
-    /// use [`ShardedModel::coherent_update_counts`] for that).
-    #[must_use]
-    pub fn total_updates(&self) -> u64 {
-        self.counters
-            .iter()
-            .map(|c| c.0.load(Ordering::Acquire))
-            .sum()
-    }
-
-    /// Reads the per-shard update counters as an *instantaneous* vector via
-    /// double-collect validation: collect all counters, collect again — if
-    /// the two collects are equal, no counter moved between its two reads,
-    /// so (counters being monotone) the vector is a state the store actually
-    /// passed through. Retries a bounded number of times under churn and
-    /// then returns `false` with the last collect (each entry still
-    /// individually atomic, the cross-shard cut possibly torn).
-    ///
-    /// This is the read side snapshot tagging needs: summing a torn collect
-    /// can attribute updates to a progress tag that never existed. The
-    /// protocol (and a seeded split-read twin) is model-checked in
-    /// `asgd-chaos` (`ShardedCounterModel`).
-    pub fn coherent_update_counts(&self, out: &mut Vec<u64>) -> bool {
-        let n = self.shard_count();
-        out.clear();
-        out.extend((0..n).map(|s| self.counters[s].0.load(Ordering::Acquire)));
-        for _ in 0..COHERENT_RETRIES {
-            let mut stable = true;
-            for (seen, counter) in out.iter_mut().zip(&self.counters) {
-                let again = counter.0.load(Ordering::Acquire);
-                if again != *seen {
-                    *seen = again;
-                    stable = false;
-                }
-            }
-            if stable {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// Per-entry reads for sparse oracles — one atomic load per call, routed.
-impl ModelView for ShardedModel {
-    fn dimension(&self) -> usize {
-        self.dimension()
-    }
-
-    fn entry(&self, j: usize) -> f64 {
-        self.read(j)
-    }
-}
-
-/// The executor-facing parameter store: flat or sharded, one type.
-///
-/// Native claim loops hold a `ParamStore` and stay oblivious to the storage
-/// topology; the enum dispatch is a predictable branch next to an atomic
-/// operation that costs an order of magnitude more. Constructed from
-/// [`ExecTuning`] so every executor resolves the shard policy identically.
-#[derive(Debug)]
-pub enum ParamStore {
-    /// The flat store (compact or padded layout).
-    Flat(SharedModel),
-    /// The sharded store.
-    Sharded(ShardedModel),
-}
-
-impl ParamStore {
-    /// Builds the store `tuning` asks for, initialised to `x0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x0` is empty and sharding was requested.
-    #[must_use]
-    pub fn with_tuning(x0: &[f64], tuning: &ExecTuning) -> Self {
-        match tuning.shards.resolve(x0.len()) {
-            None => Self::Flat(SharedModel::with_options(x0, tuning.layout, tuning.order)),
-            Some(shards) => Self::Sharded(ShardedModel::with_options(x0, shards, tuning.order)),
-        }
-    }
-
-    /// A zero store of dimension `d` per `tuning`, without a temporary
-    /// `vec![0.0; d]`.
-    #[must_use]
-    pub fn zeros_with_tuning(d: usize, tuning: &ExecTuning) -> Self {
-        match tuning.shards.resolve(d) {
-            None => Self::Flat(SharedModel::zeros_with(d, tuning.layout, tuning.order)),
-            Some(shards) => Self::Sharded(ShardedModel::zeros_with(d, shards, tuning.order)),
-        }
-    }
-
-    /// Model dimension `d`.
-    #[must_use]
-    pub fn dimension(&self) -> usize {
-        match self {
-            Self::Flat(m) => m.dimension(),
-            Self::Sharded(m) => m.dimension(),
-        }
-    }
-
-    /// Shard count (1 for the flat store).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        match self {
-            Self::Flat(_) => 1,
-            Self::Sharded(m) => m.shard_count(),
-        }
-    }
-
-    /// The sharded store, when this is one.
-    #[must_use]
-    pub fn sharded(&self) -> Option<&ShardedModel> {
-        match self {
-            Self::Flat(_) => None,
-            Self::Sharded(m) => Some(m),
-        }
-    }
-
-    /// Atomically reads entry `j`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of bounds.
-    #[inline]
-    #[must_use]
-    pub fn read(&self, j: usize) -> f64 {
-        match self {
-            Self::Flat(m) => m.read(j),
-            Self::Sharded(m) => m.read(j),
-        }
-    }
-
-    /// Entry-by-entry inconsistent view scan (Algorithm 1 line 4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view.len() != d`.
-    pub fn read_view(&self, view: &mut [f64]) {
-        match self {
-            Self::Flat(m) => m.read_view(view),
-            Self::Sharded(m) => m.read_view(view),
-        }
-    }
-
-    /// Atomic `fetch&add` on entry `j`, returning the prior value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of bounds.
-    #[inline]
-    pub fn fetch_add(&self, j: usize, delta: f64) -> f64 {
-        match self {
-            Self::Flat(m) => m.fetch_add(j, delta),
-            Self::Sharded(m) => m.fetch_add(j, delta),
-        }
-    }
-
-    /// Atomically overwrites entry `j` (epoch initialisation only).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of bounds.
-    pub fn write(&self, j: usize, value: f64) {
-        match self {
-            Self::Flat(m) => m.write(j, value),
-            Self::Sharded(m) => m.write(j, value),
-        }
-    }
-
-    /// Snapshots the store into a fresh vector.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<f64> {
-        match self {
-            Self::Flat(m) => m.snapshot(),
-            Self::Sharded(m) => m.snapshot(),
-        }
     }
 
     /// Streaming `‖X − y‖²`: per-entry atomic reads accumulated in index
@@ -731,9 +424,63 @@ impl ParamStore {
             })
             .sum()
     }
+
+    /// Updates applied to shard `s` so far (monotone, relaxed read).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    #[must_use]
+    pub fn shard_updates(&self, s: usize) -> u64 {
+        self.counters[s].0.load(Ordering::Relaxed)
+    }
+
+    /// Total updates applied across all shards (sum of per-shard counters;
+    /// each counter read is atomic, the sum is not an instantaneous state —
+    /// use [`ParamStore::coherent_update_counts`] for that).
+    #[must_use]
+    pub fn total_updates(&self) -> u64 {
+        self.counters
+            .iter()
+            .map(|c| c.0.load(Ordering::Acquire))
+            .sum()
+    }
+
+    /// Reads the per-shard update counters as an *instantaneous* vector via
+    /// double-collect validation: collect all counters, collect again — if
+    /// the two collects are equal, no counter moved between its two reads,
+    /// so (counters being monotone) the vector is a state the store actually
+    /// passed through. Retries a bounded number of times under churn and
+    /// then returns `false` with the last collect (each entry still
+    /// individually atomic, the cross-shard cut possibly torn).
+    ///
+    /// This is the read side snapshot tagging needs: summing a torn collect
+    /// can attribute updates to a progress tag that never existed. The
+    /// protocol (and a seeded split-read twin) is model-checked in
+    /// `asgd-chaos` (`ShardedCounterModel`).
+    pub fn coherent_update_counts(&self, out: &mut Vec<u64>) -> bool {
+        out.clear();
+        out.extend(self.counters.iter().map(|c| c.0.load(Ordering::Acquire)));
+        for _ in 0..COHERENT_RETRIES {
+            let mut stable = true;
+            for (seen, counter) in out.iter_mut().zip(&self.counters) {
+                let again = counter.0.load(Ordering::Acquire);
+                if again != *seen {
+                    *seen = again;
+                    stable = false;
+                }
+            }
+            if stable {
+                return true;
+            }
+        }
+        false
+    }
 }
 
-/// Per-entry reads for sparse oracles — one atomic load per call.
+/// Per-entry reads for sparse oracles: each [`ModelView::entry`] call is one
+/// atomic load of the live shared model — exactly the O(Δ) access pattern
+/// the sparse fast path exists for.
 impl ModelView for ParamStore {
     fn dimension(&self) -> usize {
         self.dimension()
@@ -755,20 +502,18 @@ const COUNTER_FLUSH: u32 = 64;
 /// A per-worker write handle over a [`ParamStore`] that batches shard
 /// counter bumps.
 ///
-/// [`ShardedModel::fetch_add`] pays a second lock-prefixed RMW (the shard
-/// counter) next to every entry CAS — measurable against the flat store on
-/// the O(Δ) sparse path, where the entry CAS is the whole iteration. Claim
-/// loops instead route updates through a `StoreWriter`: entries update
-/// atomically as always, while counts accumulate in a plain local table
-/// credited to the shared counters every `COUNTER_FLUSH` (64) updates and on
-/// drop. Values are untouched — bit-identity across stores is unaffected —
-/// and counters stay monotone with bounded lag, exact at quiescence.
-///
-/// For a flat store the writer is a zero-cost passthrough.
+/// [`ParamStore::fetch_add`] pays a second lock-prefixed RMW (the shard
+/// counter) next to every entry CAS — measurable on the O(Δ) sparse path,
+/// where the entry CAS is the whole iteration. Claim loops instead route
+/// updates through a `StoreWriter`: entries update atomically as always,
+/// while counts accumulate in a plain local table credited to the shared
+/// counters every `COUNTER_FLUSH` (64) updates and on drop. Values are
+/// untouched — bit-identity across shard counts is unaffected — and
+/// counters stay monotone with bounded lag, exact at quiescence.
 #[derive(Debug)]
 pub struct StoreWriter<'a> {
     store: &'a ParamStore,
-    /// Locally accumulated per-shard bump counts (empty for flat stores).
+    /// Locally accumulated per-shard bump counts.
     pending: Vec<u32>,
     /// Total buffered bumps since the last flush.
     buffered: u32,
@@ -778,13 +523,9 @@ impl<'a> StoreWriter<'a> {
     /// A writer over `store`.
     #[must_use]
     pub fn new(store: &'a ParamStore) -> Self {
-        let shards = match store {
-            ParamStore::Flat(_) => 0,
-            ParamStore::Sharded(m) => m.shard_count(),
-        };
         Self {
             store,
-            pending: vec![0; shards],
+            pending: vec![0; store.shard_count()],
             buffered: 0,
         }
     }
@@ -797,18 +538,13 @@ impl<'a> StoreWriter<'a> {
     /// Panics if `j` is out of bounds.
     #[inline]
     pub fn fetch_add(&mut self, j: usize, delta: f64) -> f64 {
-        match self.store {
-            ParamStore::Flat(m) => m.fetch_add(j, delta),
-            ParamStore::Sharded(m) => {
-                let (s, prev) = m.fetch_add_uncounted(j, delta);
-                self.pending[s] += 1;
-                self.buffered += 1;
-                if self.buffered >= COUNTER_FLUSH {
-                    self.flush();
-                }
-                prev
-            }
+        let (s, prev) = self.store.fetch_add_uncounted(j, delta);
+        self.pending[s] += 1;
+        self.buffered += 1;
+        if self.buffered >= COUNTER_FLUSH {
+            self.flush();
         }
+        prev
     }
 
     /// Credits every buffered bump to its shard's counter now.
@@ -816,12 +552,10 @@ impl<'a> StoreWriter<'a> {
         if self.buffered == 0 {
             return;
         }
-        if let ParamStore::Sharded(m) = self.store {
-            for (s, n) in self.pending.iter_mut().enumerate() {
-                if *n > 0 {
-                    m.credit_updates(s, u64::from(*n));
-                    *n = 0;
-                }
+        for (counter, n) in self.store.counters.iter().zip(&mut self.pending) {
+            if *n > 0 {
+                counter.0.fetch_add(u64::from(*n), Ordering::Relaxed);
+                *n = 0;
             }
         }
         self.buffered = 0;
@@ -836,16 +570,13 @@ impl Drop for StoreWriter<'_> {
 
 impl ShardPolicy {
     /// Resolves the policy to a *requested* shard count for a
-    /// `d`-dimensional model: `None` keeps the flat store, `Some(n)` builds
-    /// a sharded one with at most `n` power-of-two chunks (clamped to
-    /// `1..=d`; chunk rounding can realise fewer — see
-    /// [`ShardRouter::pow2`]).
+    /// `d`-dimensional model, clamped to `1..=d`; chunk rounding can
+    /// realise fewer (see [`ShardRouter::new`]).
     #[must_use]
-    pub fn resolve(self, d: usize) -> Option<usize> {
+    pub fn resolve(self, d: usize) -> usize {
         match self {
-            Self::Flat => None,
-            Self::Auto => Some(ShardTopology::detect().auto_shards(d)),
-            Self::Fixed(n) => Some(n.clamp(1, d.max(1))),
+            Self::Auto => ShardTopology::detect().auto_shards(d),
+            Self::Fixed(n) => n.clamp(1, d.max(1)),
         }
     }
 }
@@ -853,7 +584,6 @@ impl ShardPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ModelLayout;
 
     #[test]
     fn topology_detection_and_overrides() {
@@ -875,9 +605,9 @@ mod tests {
     }
 
     #[test]
-    fn pow2_router_routes_every_index_to_its_range() {
+    fn router_routes_every_index_to_its_range() {
         for (d, shards) in [(16, 4), (100, 4), (1, 1), (10, 3), (1 << 20, 8)] {
-            let r = ShardRouter::pow2(d, shards);
+            let r = ShardRouter::new(d, shards);
             assert_eq!(r.dimension(), d);
             let n = r.shard_count();
             assert!(n >= 1 && n <= shards, "d={d} requested={shards} got={n}");
@@ -893,52 +623,16 @@ mod tests {
             }
             assert_eq!(covered, d, "ranges cover the dimension");
         }
-    }
-
-    #[test]
-    fn ranged_router_handles_uneven_partitions() {
-        let r = ShardRouter::ranged(vec![0, 3, 4, 10]);
-        assert_eq!(r.shard_count(), 3);
-        assert_eq!(r.dimension(), 10);
-        assert_eq!(r.route(0), (0, 0));
-        assert_eq!(r.route(2), (0, 2));
-        assert_eq!(r.route(3), (1, 0));
-        assert_eq!(r.route(4), (2, 0));
-        assert_eq!(r.route(9), (2, 5));
-        assert_eq!(r.range(1), 3..4);
-    }
-
-    #[test]
-    fn balanced_router_prefers_pow2() {
-        assert!(matches!(
-            ShardRouter::balanced(1 << 16, 4),
-            ShardRouter::Pow2 { .. }
-        ));
-        // chunk = ceil(10/3) = 4 is a power of two yielding exactly 3
-        // shards, so even this ragged dimension routes shift-and-mask.
-        let ten = ShardRouter::balanced(10, 3);
-        assert!(matches!(ten, ShardRouter::Pow2 { .. }));
-        assert_eq!(ten.shard_count(), 3);
-        assert_eq!(ten.range(2), 8..10, "last shard ragged");
-        // chunk = ceil(11/2) = 6 is not a power of two: exact-range fallback
-        // with balanced sizes differing by at most one.
-        let ragged = ShardRouter::balanced(11, 2);
-        assert!(matches!(ragged, ShardRouter::Ranged { .. }));
-        assert_eq!(ragged.shard_count(), 2);
-        assert_eq!(ragged.range(0), 0..6);
-        assert_eq!(ragged.range(1), 6..11);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn ranged_router_rejects_empty_shards() {
-        let _ = ShardRouter::ranged(vec![0, 5, 5, 10]);
+        // ceil(10/3) = 4 is a power of two yielding exactly 3 shards, the
+        // last one ragged; ceil(11/2) = 6 rounds up to 8, so 2 shards of 8
+        // and 3.
+        assert_eq!(ShardRouter::new(10, 3).range(2), 8..10);
+        assert_eq!(ShardRouter::new(11, 2).range(1), 8..11);
     }
 
     #[test]
     fn sharded_vec_orders_entries_like_a_flat_vec() {
-        let r = ShardRouter::balanced(11, 3);
-        let v = ShardedVec::from_fn(r, |j| j * 10);
+        let v = ShardedVec::from_fn(ShardRouter::new(11, 3), |j| j * 10);
         assert_eq!(v.dimension(), 11);
         for j in 0..11 {
             assert_eq!(*v.get(j), j * 10);
@@ -950,35 +644,65 @@ mod tests {
     }
 
     #[test]
-    fn sharded_model_matches_flat_semantics() {
-        let x0: Vec<f64> = (0..37).map(|j| f64::from(j as u32) - 18.0).collect();
-        for shards in [1, 2, 3, 8] {
-            for order in [UpdateOrder::SeqCst, UpdateOrder::Relaxed] {
-                let flat = SharedModel::with_options(&x0, ModelLayout::Compact, order);
-                let sharded = ShardedModel::with_options(&x0, shards, order);
-                assert_eq!(sharded.order(), order);
-                for j in 0..x0.len() {
-                    assert_eq!(
-                        flat.fetch_add(j, 0.25).to_bits(),
-                        sharded.fetch_add(j, 0.25).to_bits()
-                    );
+    fn construction_reads_writes_and_views() {
+        for shards in [1, 3] {
+            let m = ParamStore::new(&[1.0, -2.0, 3.0, 4.0], shards);
+            assert_eq!(m.dimension(), 4);
+            assert_eq!((m.read(0), m.read(1)), (1.0, -2.0));
+            assert_eq!(m.fetch_add(1, 0.5), -2.0);
+            m.write(2, -1.0);
+            let mut view = vec![0.0; 4];
+            m.read_view(&mut view);
+            assert_eq!(view, vec![1.0, -1.5, -1.0, 4.0]);
+            assert_eq!(view, m.snapshot());
+            assert_eq!(ParamStore::zeros(3, shards).snapshot(), vec![0.0; 3]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "view dimension mismatch")]
+    fn view_size_checked() {
+        let m = ParamStore::zeros(2, 1);
+        let mut view = vec![0.0; 3];
+        m.read_view(&mut view);
+    }
+
+    #[test]
+    fn model_view_reads_the_live_entries() {
+        for shards in [1, 2] {
+            let m = ParamStore::new(&[3.0, -4.0], shards);
+            let view: &dyn ModelView = &m;
+            assert_eq!(view.dimension(), 2);
+            assert_eq!(view.entry(1), -4.0);
+            m.fetch_add(1, 1.0);
+            assert_eq!(view.entry(1), -3.0, "reads are live, not a snapshot");
+        }
+    }
+
+    #[test]
+    fn concurrent_updates_never_lost() {
+        for shards in [1, 4] {
+            let m = ParamStore::zeros(4, shards);
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let mut w = StoreWriter::new(&m);
+                        for j in 0..4 {
+                            for _ in 0..5_000 {
+                                w.fetch_add(j, 1.0);
+                            }
+                        }
+                    });
                 }
-                flat.write(5, -1.0);
-                sharded.write(5, -1.0);
-                let (a, b) = (flat.snapshot(), sharded.snapshot());
-                for (j, (x, y)) in a.iter().zip(&b).enumerate() {
-                    assert_eq!(x.to_bits(), y.to_bits(), "entry {j} ({shards} shards)");
-                }
-                let mut view = vec![0.0; x0.len()];
-                sharded.read_view(&mut view);
-                assert_eq!(view, b);
-            }
+            });
+            assert_eq!(m.snapshot(), vec![20_000.0; 4], "{shards} shards");
+            assert_eq!(m.total_updates(), 80_000, "{shards} shards");
         }
     }
 
     #[test]
     fn per_shard_counters_track_applied_updates() {
-        let m = ShardedModel::zeros_with(16, 4, UpdateOrder::SeqCst);
+        let m = ParamStore::zeros(16, 4);
         assert_eq!(m.shard_count(), 4);
         m.fetch_add(0, 1.0);
         m.fetch_add(3, 1.0);
@@ -998,7 +722,7 @@ mod tests {
     #[test]
     fn coherent_counts_are_instantaneous_under_churn() {
         use std::sync::atomic::AtomicBool;
-        let m = ShardedModel::zeros_with(64, 4, UpdateOrder::SeqCst);
+        let m = ParamStore::zeros(64, 4);
         let stop = AtomicBool::new(false);
         std::thread::scope(|s| {
             s.spawn(|| {
@@ -1031,7 +755,6 @@ mod tests {
             ..ExecTuning::default()
         };
         let store = ParamStore::with_tuning(&x0, &tuning);
-        let sharded = store.sharded().expect("sharded store");
         {
             let mut w = StoreWriter::new(&store);
             // Values land immediately; counter credits are buffered.
@@ -1040,21 +763,20 @@ mod tests {
             assert_eq!(w.fetch_add(15, 2.0), 0.0);
             assert_eq!(store.read(0), 2.0);
             assert_eq!(store.read(15), 2.0);
-            assert_eq!(sharded.total_updates(), 0, "credits still buffered");
+            assert_eq!(store.total_updates(), 0, "credits still buffered");
             w.flush();
-            assert_eq!(sharded.shard_updates(0), 2);
-            assert_eq!(sharded.shard_updates(3), 1);
+            assert_eq!(store.shard_updates(0), 2);
+            assert_eq!(store.shard_updates(3), 1);
             w.fetch_add(4, 1.0);
             // Dropped without an explicit flush: the drop flushes.
         }
-        assert_eq!(sharded.shard_updates(1), 1);
-        assert_eq!(sharded.total_updates(), 4);
+        assert_eq!(store.shard_updates(1), 1);
+        assert_eq!(store.total_updates(), 4);
     }
 
     #[test]
     fn store_writer_crosses_the_flush_threshold_mid_stream() {
-        let store = ParamStore::Sharded(ShardedModel::zeros_with(8, 2, UpdateOrder::SeqCst));
-        let sharded = store.sharded().unwrap();
+        let store = ParamStore::zeros(8, 2);
         let mut w = StoreWriter::new(&store);
         for i in 0..200 {
             w.fetch_add(i % 8, 1.0);
@@ -1062,109 +784,48 @@ mod tests {
         // 200 = 3 × 64 + 8: three threshold flushes have happened, the tail
         // is still buffered — mid-run observations lag by less than one
         // flush window.
-        assert_eq!(sharded.total_updates(), 192);
+        assert_eq!(store.total_updates(), 192);
         drop(w);
-        assert_eq!(sharded.total_updates(), 200);
-        assert_eq!(sharded.shard_updates(0), 100);
-        assert_eq!(sharded.shard_updates(1), 100);
+        assert_eq!(store.total_updates(), 200);
+        assert_eq!(store.shard_updates(0), 100);
+        assert_eq!(store.shard_updates(1), 100);
     }
 
     #[test]
-    fn store_writer_is_a_passthrough_for_flat_stores() {
-        let store = ParamStore::Flat(SharedModel::zeros(4));
-        let mut w = StoreWriter::new(&store);
-        assert_eq!(w.fetch_add(2, 3.0), 0.0);
-        w.flush();
-        assert_eq!(store.read(2), 3.0);
-    }
-
-    #[test]
-    fn param_store_dispatches_both_variants() {
+    fn tuning_builds_one_shard_by_default() {
         let x0 = [1.0, 2.0, 3.0, 4.0];
         let tuning = ExecTuning::default();
-        let flat = ParamStore::with_tuning(&x0, &tuning);
-        assert!(flat.sharded().is_none());
-        assert_eq!(flat.shard_count(), 1);
-        let sharded = ParamStore::with_tuning(
-            &x0,
-            &ExecTuning {
-                shards: ShardPolicy::Fixed(2),
-                ..tuning
-            },
-        );
-        assert_eq!(sharded.shard_count(), 2);
-        assert!(sharded.sharded().is_some());
-        for store in [&flat, &sharded] {
-            assert_eq!(store.dimension(), 4);
-            assert_eq!(store.read(2), 3.0);
-            assert_eq!(store.fetch_add(2, 1.0), 3.0);
-            store.write(0, 0.5);
-            let mut view = vec![0.0; 4];
-            store.read_view(&mut view);
-            assert_eq!(view, store.snapshot());
-            let view_ref: &dyn ModelView = store;
-            assert_eq!(view_ref.entry(1), 2.0);
-        }
-        let zeros = ParamStore::zeros_with_tuning(
-            6,
-            &ExecTuning {
-                shards: ShardPolicy::Fixed(3),
-                ..tuning
-            },
-        );
+        assert_eq!(ParamStore::with_tuning(&x0, &tuning).shard_count(), 1);
+        let two = ExecTuning {
+            shards: ShardPolicy::Fixed(2),
+            ..tuning
+        };
+        assert_eq!(ParamStore::with_tuning(&x0, &two).shard_count(), 2);
+        let zeros = ParamStore::zeros_with_tuning(6, &two);
         assert_eq!(zeros.snapshot(), vec![0.0; 6]);
+        assert_eq!(zeros.shard_count(), 2);
     }
 
     #[test]
     fn dist_sq_streams_bit_identically_to_the_dense_scan() {
         let x0: Vec<f64> = (0..23).map(|j| (f64::from(j as u32)).sin()).collect();
         let y: Vec<f64> = (0..23).map(|j| (f64::from(j as u32)).cos()).collect();
-        let store = ParamStore::with_tuning(
-            &x0,
-            &ExecTuning {
-                shards: ShardPolicy::Fixed(5),
-                ..ExecTuning::default()
-            },
-        );
-        let mut view = vec![0.0; 23];
-        store.read_view(&mut view);
-        let dense = asgd_math::vec::l2_dist_sq(&view, &y);
-        assert_eq!(store.dist_sq_to(&y).to_bits(), dense.to_bits());
+        for shards in [1, 5] {
+            let store = ParamStore::new(&x0, shards);
+            let mut view = vec![0.0; 23];
+            store.read_view(&mut view);
+            let dense = asgd_math::vec::l2_dist_sq(&view, &y);
+            assert_eq!(store.dist_sq_to(&y).to_bits(), dense.to_bits());
+        }
     }
 
     #[test]
     fn shard_policy_resolution() {
-        assert_eq!(ShardPolicy::Flat.resolve(1 << 20), None);
-        assert_eq!(ShardPolicy::Fixed(4).resolve(1 << 20), Some(4));
-        assert_eq!(ShardPolicy::Fixed(0).resolve(8), Some(1), "clamps up");
-        assert_eq!(ShardPolicy::Fixed(64).resolve(8), Some(8), "clamps to d");
-        let auto = ShardPolicy::Auto.resolve(1 << 20).expect("auto shards");
+        assert_eq!(ShardPolicy::default(), ShardPolicy::Fixed(1));
+        assert_eq!(ShardPolicy::Fixed(4).resolve(1 << 20), 4);
+        assert_eq!(ShardPolicy::Fixed(0).resolve(8), 1, "clamps up");
+        assert_eq!(ShardPolicy::Fixed(64).resolve(8), 8, "clamps to d");
+        let auto = ShardPolicy::Auto.resolve(1 << 20);
         assert!(auto >= 1 && auto.is_power_of_two());
-    }
-
-    #[test]
-    fn one_shard_store_is_bit_identical_to_flat_under_concurrency() {
-        // Same claim schedule isn't needed: with powers of two every
-        // interleaving produces the same exact sum per entry.
-        let flat = SharedModel::zeros(8);
-        let sharded = ShardedModel::zeros_with(8, 1, UpdateOrder::SeqCst);
-        std::thread::scope(|s| {
-            for t in 0..4 {
-                let (flat, sharded) = (&flat, &sharded);
-                s.spawn(move || {
-                    let delta = 2.0_f64.powi(t);
-                    for j in 0..8 {
-                        for _ in 0..1000 {
-                            flat.fetch_add(j, delta);
-                            sharded.fetch_add(j, delta);
-                        }
-                    }
-                });
-            }
-        });
-        for j in 0..8 {
-            assert_eq!(flat.read(j).to_bits(), sharded.read(j).to_bits());
-        }
-        assert_eq!(sharded.total_updates(), 4 * 8 * 1000);
     }
 }

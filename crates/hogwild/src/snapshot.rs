@@ -7,7 +7,7 @@
 //! into a running executor:
 //!
 //! * **live reads** through [`ModelReader`] — per-entry atomic loads of the
-//!   executing [`ParamStore`] (flat or sharded), racing the trainers entry
+//!   executing [`ParamStore`], racing the trainers entry
 //!   by entry (inconsistent across entries, exactly like a worker's own
 //!   view scan);
 //! * **coherent snapshots** through [`SnapshotCell`] — an epoch-versioned
@@ -309,20 +309,20 @@ impl ModelReader {
         &self.model
     }
 
-    /// Shard count of the underlying store (1 for the flat store).
+    /// Shard count of the underlying store.
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.model.shard_count()
     }
 
-    /// Reads the per-shard applied-update counters as an instantaneous
-    /// cross-shard vector (double-collect validated — see
-    /// `ShardedModel::coherent_update_counts`): `None` for a flat store,
-    /// otherwise `Some(coherent)` with `out` holding one count per shard.
-    /// These are the measured per-range update rates τ a delay-adaptive
-    /// consumer can difference between calls.
-    pub fn shard_updates(&self, out: &mut Vec<u64>) -> Option<bool> {
-        self.model.sharded().map(|m| m.coherent_update_counts(out))
+    /// Reads the per-shard counters of applied updates into `out`, one
+    /// count per shard, as an instantaneous cross-shard vector
+    /// (double-collect validated — see
+    /// [`ParamStore::coherent_update_counts`]); returns whether the collect
+    /// validated. Differencing two calls gives each range's update rate;
+    /// the counts are not delays (τ).
+    pub fn shard_updates(&self, out: &mut Vec<u64>) -> bool {
+        self.model.coherent_update_counts(out)
     }
 
     /// Copies the latest coherent snapshot into `out`, returning its
@@ -484,7 +484,7 @@ mod tests {
     use super::*;
 
     fn model(values: &[f64]) -> Arc<ParamStore> {
-        Arc::new(ParamStore::Flat(crate::model::SharedModel::new(values)))
+        Arc::new(ParamStore::new(values, 1))
     }
 
     #[test]
@@ -615,10 +615,9 @@ mod tests {
     }
 
     #[test]
-    fn reader_exposes_shard_progress_on_sharded_stores() {
-        use crate::model::UpdateOrder;
-        use crate::shard::ShardedModel;
+    fn reader_exposes_shard_progress() {
         let flat = model(&[1.0, 2.0]);
+        flat.fetch_add(1, 1.0);
         let flat_reader = ModelReader::new(
             Arc::clone(&flat),
             Arc::new(SnapshotCell::new(2)),
@@ -626,13 +625,11 @@ mod tests {
             10,
         );
         assert_eq!(flat_reader.shard_count(), 1);
-        assert_eq!(flat_reader.shard_updates(&mut Vec::new()), None);
+        let mut counts = Vec::new();
+        assert!(flat_reader.shard_updates(&mut counts), "quiescent");
+        assert_eq!(counts, vec![1]);
 
-        let sharded = Arc::new(ParamStore::Sharded(ShardedModel::with_options(
-            &[0.0; 8],
-            4,
-            UpdateOrder::SeqCst,
-        )));
+        let sharded = Arc::new(ParamStore::zeros(8, 4));
         sharded.fetch_add(0, 1.0);
         sharded.fetch_add(7, 1.0);
         let reader = ModelReader::new(
@@ -642,8 +639,7 @@ mod tests {
             10,
         );
         assert_eq!(reader.shard_count(), 4);
-        let mut counts = Vec::new();
-        assert_eq!(reader.shard_updates(&mut counts), Some(true), "quiescent");
+        assert!(reader.shard_updates(&mut counts), "quiescent");
         assert_eq!(counts, vec![1, 0, 0, 1]);
     }
 

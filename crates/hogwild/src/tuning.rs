@@ -1,7 +1,5 @@
 //! Execution tuning knobs shared by all native executors.
 
-use crate::model::{ModelLayout, UpdateOrder};
-
 /// When to take the O(Δ) sparse gradient path instead of the O(d) dense one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparsePolicy {
@@ -30,22 +28,25 @@ impl SparsePolicy {
     }
 }
 
-/// How to shard the parameter store across per-range arenas.
+/// How many per-range arenas the parameter store is split into.
 ///
-/// Resolution to an actual shard count (and router) lives in
-/// `crate::shard::ShardPolicy::resolve`; the flat store remains the default
-/// because at small `d` the padded flat layout already solves false sharing
-/// and the router would be pure overhead.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Resolution to an actual shard count lives in
+/// `crate::shard::ShardPolicy::resolve`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardPolicy {
-    /// One flat arena (`SharedModel`) — the default.
-    #[default]
-    Flat,
     /// Derive the shard count from the detected topology (cores and
     /// coherency-line size).
     Auto,
-    /// Exactly this many balanced contiguous shards (clamped to `1..=d`).
+    /// At most this many power-of-two chunks (clamped to `1..=d`); chunk
+    /// rounding can realise fewer. `Fixed(1)`, one flat arena, is the
+    /// default.
     Fixed(usize),
+}
+
+impl Default for ShardPolicy {
+    fn default() -> Self {
+        Self::Fixed(1)
+    }
 }
 
 /// Tuning of a native executor's hot loop, orthogonal to the algorithmic
@@ -55,15 +56,9 @@ pub enum ShardPolicy {
 /// switch Δ-sparse oracles onto the O(Δ) path automatically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ExecTuning {
-    /// Shared-model memory layout (false-sharing avoidance at small d).
-    /// Applies to the flat store; sharded stores are always compact within
-    /// each arena (the arenas themselves provide the separation).
-    pub layout: ModelLayout,
-    /// Memory ordering of model reads and `fetch&add`s.
-    pub order: UpdateOrder,
     /// Dense-vs-sparse path selection.
     pub sparse: SparsePolicy,
-    /// Parameter-store sharding (flat, topology-derived, or fixed count).
+    /// Parameter-store sharding (topology-derived or a fixed count).
     pub shards: ShardPolicy,
     /// Pin worker threads round-robin to cores at spawn (best effort; a
     /// failed pin is ignored). Off by default.
@@ -78,10 +73,8 @@ pub struct ExecTuning {
 impl Default for ExecTuning {
     fn default() -> Self {
         Self {
-            layout: ModelLayout::Compact,
-            order: UpdateOrder::SeqCst,
             sparse: SparsePolicy::Auto,
-            shards: ShardPolicy::Flat,
+            shards: ShardPolicy::Fixed(1),
             pin: false,
             success_check_stride: 16,
         }
@@ -143,10 +136,8 @@ mod tests {
     #[test]
     fn default_tuning_is_paper_faithful_with_auto_sparse() {
         let t = ExecTuning::default();
-        assert_eq!(t.layout, ModelLayout::Compact);
-        assert_eq!(t.order, UpdateOrder::SeqCst);
         assert_eq!(t.sparse, SparsePolicy::Auto);
-        assert_eq!(t.shards, ShardPolicy::Flat, "flat store is the default");
+        assert_eq!(t.shards, ShardPolicy::Fixed(1), "one shard is the default");
         assert!(!t.pin, "pinning defaults off");
         assert!(t.stride() >= 1);
         let zero = ExecTuning {

@@ -802,37 +802,35 @@ fn scrape(conn: &Connection) -> Response {
                 ))
                 .set(staleness as f64);
         }
-        if !stats.shard_updates.is_empty() {
-            // Claim gap: iterations claimed by workers minus updates already
-            // applied to the shards — the store-level view of the paper's
-            // in-flight delay τ.
-            let applied: u64 = stats.shard_updates.iter().sum();
+        // Claim gap: iterations claimed by workers minus updates already
+        // credited to the shards. A progress gap, not a delay: an
+        // iteration applies one update per nonzero gradient entry.
+        let applied: u64 = stats.shard_updates.iter().sum();
+        telemetry
+            .gauge(&format!("asgd_shard_claim_gap{{model=\"{model}\"}}"))
+            .set(stats.iterations.saturating_sub(applied) as f64);
+        let rates = prev.get(model.as_str()).map(|(prev_updates, at)| {
+            let dt = now.duration_since(*at).as_secs_f64().max(1e-9);
+            (prev_updates.clone(), dt)
+        });
+        for (shard, &updates) in stats.shard_updates.iter().enumerate() {
             telemetry
-                .gauge(&format!("asgd_shard_claim_gap{{model=\"{model}\"}}"))
-                .set(stats.iterations.saturating_sub(applied) as f64);
-            let rates = prev.get(model.as_str()).map(|(prev_updates, at)| {
-                let dt = now.duration_since(*at).as_secs_f64().max(1e-9);
-                (prev_updates.clone(), dt)
+                .counter(&format!(
+                    "asgd_shard_updates_total{{model=\"{model}\",shard=\"{shard}\"}}"
+                ))
+                .record_total(updates);
+            let rate = rates.as_ref().map_or(0.0, |(prev_updates, dt)| {
+                prev_updates
+                    .get(shard)
+                    .map_or(0.0, |&p| updates.saturating_sub(p) as f64 / dt)
             });
-            for (shard, &updates) in stats.shard_updates.iter().enumerate() {
-                telemetry
-                    .counter(&format!(
-                        "asgd_shard_updates_total{{model=\"{model}\",shard=\"{shard}\"}}"
-                    ))
-                    .record_total(updates);
-                let rate = rates.as_ref().map_or(0.0, |(prev_updates, dt)| {
-                    prev_updates
-                        .get(shard)
-                        .map_or(0.0, |&p| updates.saturating_sub(p) as f64 / dt)
-                });
-                telemetry
-                    .gauge(&format!(
-                        "asgd_shard_update_rate{{model=\"{model}\",shard=\"{shard}\"}}"
-                    ))
-                    .set(rate);
-            }
-            prev.insert(model.clone(), (stats.shard_updates.clone(), now));
+            telemetry
+                .gauge(&format!(
+                    "asgd_shard_update_rate{{model=\"{model}\",shard=\"{shard}\"}}"
+                ))
+                .set(rate);
         }
+        prev.insert(model.clone(), (stats.shard_updates.clone(), now));
         if let Some(queue) = entry.ingress() {
             let q = queue.counters();
             telemetry

@@ -67,7 +67,6 @@ impl std::error::Error for OracleSpecError {}
 /// Fields not relevant to a kind are ignored (e.g. `batch` for
 /// `noisy-quadratic`), so one spec type covers every oracle.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OracleSpec {
     /// Canonical kind name (see [`known_kinds`]).
     pub kind: String,

@@ -129,7 +129,7 @@ pub fn apply_dense_chunk(grad: &[f64], scale: f64, mut apply: impl FnMut(usize, 
 /// Per-entry reads of a model vector.
 ///
 /// Implemented by plain slices (a local iterate) and by shared-memory models
-/// (`asgd-hogwild`'s `SharedModel`, where each call is one atomic load). A
+/// (`asgd-hogwild`'s `ParamStore`, where each call is one atomic load). A
 /// sparse oracle receives `&dyn ModelView` and reads *only* the coordinates
 /// in its gradient's support — the whole point of the O(Δ) fast path. As
 /// with Algorithm 1's entry-wise scan, reads of distinct entries need not be

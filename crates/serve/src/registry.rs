@@ -69,9 +69,9 @@ pub struct ModelStats {
     /// Staleness of the latest published snapshot, in training iterations
     /// (`iterations − published_at`; `None` before the first publication).
     pub staleness: Option<u64>,
-    /// Per-shard applied-update counters (the measured per-range τ rates a
-    /// delay-adaptive consumer differences between calls). Empty for flat
-    /// stores.
+    /// Per-shard counters of applied updates, one per shard of the store
+    /// (differenced between calls they give each range's update rate; they
+    /// are not delays τ).
     pub shard_updates: Vec<u64>,
 }
 
@@ -144,7 +144,8 @@ impl ModelEntry {
         let staleness = reader
             .snapshot_tag()
             .map(|(_, at)| iterations.saturating_sub(at));
-        // Flat stores have no per-shard counters: shard_updates stays empty.
+        // A torn (unvalidated) collect is still per-counter atomic; stats
+        // report it either way.
         let mut shard_updates = Vec::new();
         let _ = reader.shard_updates(&mut shard_updates);
         ModelStats {

@@ -3,8 +3,8 @@
 //! and a structured JSONL [`TraceSink`].
 //!
 //! The paper's bounds are driven by quantities the system already produces
-//! — the delay τ (per-shard update counters), snapshot staleness, queue lag,
-//! shed-tier state — and this crate is where they become *scrapeable*:
+//! or that an operator needs — per-shard counts of applied updates, snapshot
+//! staleness, queue lag, shed-tier state — and this crate is where they become *scrapeable*:
 //! every tier records into the process-wide [`global`] registry, the net
 //! tier's `stats-scrape` opcode renders it live, and `experiments stats`
 //! scrapes it from the CLI.
@@ -13,14 +13,14 @@
 //!
 //! 1. **Hot paths stay lock-free and unshared.** Counters and histograms
 //!    stripe updates over cache-line-padded per-thread cells (relaxed
-//!    atomics), exactly like `ShardedModel`'s per-shard update counters, so
+//!    atomics), exactly like `ParamStore`'s per-shard update counters, so
 //!    instrumentation never introduces a coherence hot spot. The committed
 //!    bench gate holds instrumented hogwild throughput at ≥ 97% of
 //!    uninstrumented (d = 1M, 4 pinned threads).
 //! 2. **Collection is validated.** [`MetricsRegistry::snapshot`]
 //!    double-collects every monotone cell and flags the result `coherent`
 //!    only when two collects agree — the registry-wide generalisation of
-//!    `ShardedModel::coherent_update_counts`, model-checked in `asgd-chaos`
+//!    `ParamStore::coherent_update_counts`, model-checked in `asgd-chaos`
 //!    (`TelemetryCellModel`, with a seeded torn-read twin the explorer
 //!    catches).
 //! 3. **Exposition is lossless.** `parse(render(snapshot)) == snapshot` for

@@ -5,7 +5,7 @@
 //! once (a process-wide monotone id, folded modulo [`STRIPES`]) and bumps
 //! its own cache-line-padded `AtomicU64` cell with relaxed ordering, so
 //! concurrent writers on different cores never bounce a line — the same
-//! layout discipline as `ShardedModel`'s per-shard update counters.
+//! layout discipline as `ParamStore`'s per-shard update counters.
 //! Registration (the first `counter("name")` call for a name) takes a short
 //! mutex; the returned handles are `Arc`s callers keep, so steady state is
 //! lock-free.
@@ -14,7 +14,7 @@
 //! every monotone progress cell (counter stripes and histogram counts) and
 //! only flags the snapshot `coherent` when two consecutive collects agree —
 //! the registry-wide generalisation of
-//! `ShardedModel::coherent_update_counts`, model-checked in `asgd-chaos`
+//! `ParamStore::coherent_update_counts`, model-checked in `asgd-chaos`
 //! (`TelemetryCellModel`).
 
 use std::collections::BTreeMap;
@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex};
 pub const STRIPES: usize = 16;
 
 /// How many times a validated collect re-reads before settling for the
-/// (possibly torn) last collect — mirrors `ShardedModel`'s retry bound.
+/// (possibly torn) last collect — mirrors `ParamStore`'s retry bound.
 const COHERENT_RETRIES: usize = 16;
 
 /// One cache line of its own for every stripe cell: concurrent writers on

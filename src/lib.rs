@@ -116,19 +116,18 @@ pub mod prelude {
     pub use asgd_core::runner::{LockFreeRun, LockFreeSgd, RunnerError};
     pub use asgd_core::sequential::SequentialSgd;
     pub use asgd_driver::{
-        run_spec, run_spec_session, validate, BackendKind, Driver, DriverError, ModelLayoutSpec,
-        ModelReader, ModelSnapshot, PinSpec, Progress, RunEvent, RunHandle, RunObserver, RunReport,
-        RunSpec, SchedulerSpec, ServeHook, SessionCtx, ShardsSpec, SnapshotCell, SparsePathSpec,
-        StepSize, TrajectorySample, UpdateOrderSpec, ValidationCell, ValidationCriterion,
-        ValidationPlan, ValidationReport,
+        run_spec, run_spec_session, validate, BackendKind, Driver, DriverError, ModelReader,
+        ModelSnapshot, PinSpec, Progress, RunEvent, RunHandle, RunObserver, RunReport, RunSpec,
+        SchedulerSpec, ServeHook, SessionCtx, ShardsSpec, SnapshotCell, SparsePathSpec, StepSize,
+        TrajectorySample, ValidationCell, ValidationCriterion, ValidationPlan, ValidationReport,
     };
     pub use asgd_hogwild::full_sgd::{NativeFullSgd, NativeFullSgdConfig};
     pub use asgd_hogwild::guarded::{GuardedEpochSgd, GuardedEpochSgdConfig};
     pub use asgd_hogwild::hogwild::{Hogwild, HogwildConfig};
     pub use asgd_hogwild::locked::LockedSgd;
     pub use asgd_hogwild::{
-        ExecTuning, ModelLayout, ParamStore, ShardPolicy, ShardRouter, ShardTopology, ShardedModel,
-        ShardedVec, SharedModel, SparsePolicy, UpdateOrder,
+        ExecTuning, ParamStore, ShardPolicy, ShardRouter, ShardTopology, ShardedVec, SparsePolicy,
+        StoreWriter,
     };
     pub use asgd_ingest::{
         heterogeneous_fleet, DriftKind, DriftSpec, GroundTruth, IngestReport, IngestSpec,

@@ -453,14 +453,25 @@ fn stats_scrape_serves_live_prometheus_text_consistent_with_model_stats() {
         .create("scraped", &spec, ReadMode::Snapshot, 1_024)
         .expect("creates")
         .0;
+    // A second model on the default (1-shard) store: its one shard counter
+    // is scraped like any other.
+    let plain = registry
+        .create(
+            "default-store",
+            &servable_spec(64, 1, 5_000, 19),
+            ReadMode::Snapshot,
+            1_024,
+        )
+        .expect("creates")
+        .0;
     let server =
         NetServer::serve(Arc::clone(&registry), NetConfig::default()).expect("server binds");
     let mut client = NetClient::connect(server.local_addr()).expect("connects");
 
-    // Wait for the run to finish so counters are quiescent, then drive a
+    // Wait for the runs to finish so counters are quiescent, then drive a
     // few reads so the serve-latency histogram is non-vacuous.
     let deadline = Instant::now() + Duration::from_secs(30);
-    let stats = loop {
+    let mut finished = |id| loop {
         let stats = client.stats_by_id(id).expect("stats answer");
         if stats.finished {
             break stats;
@@ -468,8 +479,11 @@ fn stats_scrape_serves_live_prometheus_text_consistent_with_model_stats() {
         assert!(Instant::now() < deadline, "training never finished");
         std::thread::sleep(Duration::from_millis(10));
     };
+    let stats = finished(id);
+    let plain_stats = finished(plain);
     assert_eq!(stats.iterations, iterations);
     assert_eq!(stats.shard_updates.len(), 4, "fixed(4) topology reported");
+    assert_eq!(plain_stats.shard_updates.len(), 1, "default store: 1 shard");
     for _ in 0..4 {
         client.predict(id, Priority::Normal).expect("predicts");
     }
@@ -500,9 +514,15 @@ fn stats_scrape_serves_live_prometheus_text_consistent_with_model_stats() {
                 "asgd_shard_updates_total{{model=\"scraped\",shard=\"{shard}\"}}"
             )),
             updates,
-            "shard {shard} τ counter disagrees with model-stats"
+            "shard {shard} update counter disagrees with model-stats"
         );
     }
+    let plain_updates = counter("asgd_shard_updates_total{model=\"default-store\",shard=\"0\"}");
+    assert!(
+        plain_updates > 0,
+        "default store's shard 0 counter is vacuous"
+    );
+    assert_eq!(plain_updates, plain_stats.shard_updates[0]);
     // Quiescent run: every claimed iteration has been applied somewhere.
     assert_eq!(stats.shard_updates.iter().sum::<u64>(), iterations);
     // Net-tier series saw this connection's own traffic.

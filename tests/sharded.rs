@@ -3,25 +3,27 @@
 //! 1. Routing — every boundary index (first and last entry of every shard,
 //!    ragged tails included) routes to the shard whose range contains it,
 //!    and the shard ranges are a contiguous partition of `0..d`.
-//! 2. Store equivalence — a `ShardedModel` (one shard or many) performs the
-//!    exact same per-entry atomic operations as the flat `SharedModel`, so
-//!    disjoint deterministic update streams land *bit-identically* at every
-//!    thread count.
-//! 3. The PR-1 cross-backend invariant (sequential ≡ simulated-serial ≡
-//!    1-thread hogwild) holds with the sharded store underneath the native
-//!    backend, on the dense and the sparse path, and a 1-thread run is
-//!    bit-identical flat vs sharded (identical claim schedule).
-//! 4. Property: for random dimensions, shard counts and adversarial ragged
-//!    partitions, a serial op stream through the sharded store matches the
-//!    flat store bit for bit, and the per-shard update counters account for
-//!    exactly the ops routed into each range.
+//! 2. Store equivalence — a `ParamStore` with one shard or many lands
+//!    disjoint deterministic update streams *bit-identically* to a plain
+//!    serial `Vec<f64>` reference (`prev = x[j]; x[j] += delta`) at every
+//!    thread count. The reference shares no code with `AtomicF64`.
+//! 3. The cross-backend invariant (sequential ≡ simulated-serial ≡
+//!    1-thread hogwild) holds with a 1-shard and a multi-shard store
+//!    underneath the native backend, on the dense and the sparse path, and a
+//!    1-thread run is bit-identical at 1 shard and at 4 (identical claim
+//!    schedule).
+//! 4. Property: for random dimensions and shard counts, a serial op stream
+//!    through the store returns the reference's prior values and lands on
+//!    its final state bit for bit, and the per-shard update counters
+//!    account for exactly the ops routed into each range.
 
 use asyncsgd::prelude::*;
 use proptest::prelude::*;
 
 #[test]
 fn routing_covers_every_boundary_index() {
-    // Pow2-eligible, ragged, prime, shards > d (clamped), single-shard.
+    // Exact chunks, ragged, prime, shards > d (clamped), single-shard, and
+    // a count that chunk rounding realises as fewer shards.
     for (d, shards) in [
         (64, 4),
         (65, 4),
@@ -31,12 +33,9 @@ fn routing_covers_every_boundary_index() {
         (1, 1),
         (1024, 6),
     ] {
-        let router = ShardRouter::balanced(d, shards);
+        let router = ShardRouter::new(d, shards);
         let n = router.shard_count();
-        assert!(
-            n >= 1 && n <= d.min(shards),
-            "balanced({d},{shards}) -> {n}"
-        );
+        assert!(n >= 1 && n <= d.min(shards), "new({d},{shards}) -> {n}");
         // The ranges are a contiguous partition of 0..d.
         let mut at = 0;
         for s in 0..n {
@@ -59,17 +58,22 @@ fn routing_covers_every_boundary_index() {
 /// Applies a deterministic per-thread update stream (thread `t` owns the
 /// indices `j ≡ t (mod threads)`) so each entry sees a fixed sequence of
 /// `fetch&add`s regardless of interleaving — the final state is then a
-/// function of the streams alone, and must be bitwise equal across stores.
-fn run_disjoint_streams(store: &(dyn Fn(usize, f64) -> f64 + Sync), d: usize, threads: usize) {
+/// function of the streams alone, and must be bitwise equal to the serial
+/// reference. Every `fetch&add` must also return the entry's prior value in
+/// that reference, since its owning thread is the entry's only writer.
+fn run_disjoint_streams(store: &ParamStore, x0: &[f64], threads: usize) {
+    let d = x0.len();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let store = &store;
             scope.spawn(move || {
+                let mut writer = StoreWriter::new(store);
+                let mut local = x0.to_vec();
                 for step in 0..50 {
-                    let mut j = t;
-                    while j < d {
-                        store(j, 0.5 + (j as f64) * 0.125 + (step as f64) * 0.0625);
-                        j += threads;
+                    for j in (t..d).step_by(threads) {
+                        let delta = stream_delta(j, step);
+                        let prev = writer.fetch_add(j, delta);
+                        assert_eq!(prev.to_bits(), local[j].to_bits(), "entry {j}");
+                        local[j] += delta;
                     }
                 }
             });
@@ -77,25 +81,33 @@ fn run_disjoint_streams(store: &(dyn Fn(usize, f64) -> f64 + Sync), d: usize, th
     });
 }
 
+fn stream_delta(j: usize, step: usize) -> f64 {
+    0.5 + (j as f64) * 0.125 + (step as f64) * 0.0625
+}
+
 #[test]
 fn one_shard_and_many_shard_stores_match_flat_bit_for_bit_at_every_thread_count() {
     let d = 96;
     let x0: Vec<f64> = (0..d).map(|j| (j as f64) * 0.25 - 8.0).collect();
+    // The plain serial reference: the flat array of the paper's machine.
+    let mut reference = x0.clone();
+    for step in 0..50 {
+        for (j, x) in reference.iter_mut().enumerate() {
+            *x += stream_delta(j, step);
+        }
+    }
     for threads in [1, 2, 4, 8] {
-        let flat = SharedModel::new(&x0);
-        let one = ShardedModel::with_options(&x0, 1, UpdateOrder::SeqCst);
-        let many = ShardedModel::with_options(&x0, 6, UpdateOrder::SeqCst);
-        run_disjoint_streams(&|j, delta| flat.fetch_add(j, delta), d, threads);
-        run_disjoint_streams(&|j, delta| one.fetch_add(j, delta), d, threads);
-        run_disjoint_streams(&|j, delta| many.fetch_add(j, delta), d, threads);
-        let reference = flat.snapshot();
+        let one = ParamStore::new(&x0, 1);
+        let many = ParamStore::new(&x0, 6);
+        run_disjoint_streams(&one, &x0, threads);
+        run_disjoint_streams(&many, &x0, threads);
         for (name, store) in [("one-shard", &one), ("six-shard", &many)] {
             assert_eq!(store.snapshot().len(), d);
             for (j, (a, b)) in reference.iter().zip(store.snapshot()).enumerate() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "threads={threads} {name}: entry {j}: flat {a} vs {b}"
+                    "threads={threads} {name}: entry {j}: reference {a} vs {b}"
                 );
             }
         }
@@ -124,19 +136,26 @@ fn sharded_spec(sparse: SparsePathSpec, shards: ShardsSpec) -> RunSpec {
 #[test]
 fn cross_backend_invariant_holds_on_the_sharded_store() {
     // sequential ≡ simulated-serial ≡ 1-thread hogwild, bit for bit, with
-    // the native backend routing through a multi-shard store — on both the
-    // dense and the sparse path. The simulated and sequential backends have
-    // no arenas (their reports say so); a 1-thread serial claim schedule
-    // makes the comparison exact. Fixed(3) at d = 32 rounds the chunk
-    // ceil(32/3) = 11 up to 16, so the report carries the realised 2.
-    for path in [SparsePathSpec::Dense, SparsePathSpec::Sparse] {
-        let spec = sharded_spec(path, ShardsSpec::Fixed(3));
+    // the native backend routing through the default 1-shard store and a
+    // multi-shard one — on both the dense and the sparse path. The
+    // simulated and sequential backends have no arenas (their reports say
+    // so); a 1-thread serial claim schedule makes the comparison exact.
+    // Fixed(3) at d = 32 rounds the chunk ceil(32/3) = 11 up to 16, so the
+    // report carries the realised 2.
+    let cases = [
+        (SparsePathSpec::Dense, ShardsSpec::default(), 1),
+        (SparsePathSpec::Sparse, ShardsSpec::default(), 1),
+        (SparsePathSpec::Dense, ShardsSpec::Fixed(3), 2),
+        (SparsePathSpec::Sparse, ShardsSpec::Fixed(3), 2),
+    ];
+    for (path, shards, realized) in cases {
+        let spec = sharded_spec(path, shards);
         let sequential = run_spec(&spec.clone().backend(BackendKind::Sequential)).unwrap();
         let simulated = run_spec(&spec.clone().backend(BackendKind::SimulatedLockFree)).unwrap();
         let hogwild = run_spec(&spec).unwrap();
         assert_eq!(sequential.shards, None, "no arenas under sequential");
         assert_eq!(simulated.shards, None, "no arenas under the simulator");
-        assert_eq!(hogwild.shards, Some(2), "the realized shard count");
+        assert_eq!(hogwild.shards, Some(realized), "the realized shard count");
         for (name, other) in [("simulated-serial", &simulated), ("hogwild-1", &hogwild)] {
             for (j, (a, b)) in sequential
                 .final_model
@@ -147,7 +166,7 @@ fn cross_backend_invariant_holds_on_the_sharded_store() {
                 assert_eq!(
                     a.to_bits(),
                     b.to_bits(),
-                    "{path:?}/{name}: entry {j}: sequential {a} vs {b}"
+                    "{path:?}/{shards:?}/{name}: entry {j}: sequential {a} vs {b}"
                 );
             }
         }
@@ -156,13 +175,13 @@ fn cross_backend_invariant_holds_on_the_sharded_store() {
 
 #[test]
 fn one_thread_sharded_run_is_bit_identical_to_flat() {
-    // Same spec, same serial claim schedule — only the store differs. The
-    // refactor's regression oracle: routing must never change which cell an
-    // index denotes or the order its updates apply in.
+    // Same spec, same serial claim schedule — only the shard count differs.
+    // The regression oracle: routing must never change which cell an index
+    // denotes or the order its updates apply in.
     for path in [SparsePathSpec::Dense, SparsePathSpec::Sparse] {
-        let flat = run_spec(&sharded_spec(path, ShardsSpec::Flat)).unwrap();
+        let flat = run_spec(&sharded_spec(path, ShardsSpec::default())).unwrap();
         let sharded = run_spec(&sharded_spec(path, ShardsSpec::Fixed(4))).unwrap();
-        assert_eq!(flat.shards, None);
+        assert_eq!(flat.shards, Some(1), "a default native run reports 1 shard");
         assert_eq!(sharded.shards, Some(4));
         for (j, (a, b)) in flat
             .final_model
@@ -183,39 +202,17 @@ fn one_thread_sharded_run_is_bit_identical_to_flat() {
     }
 }
 
-/// A deterministic ragged partition of `0..d` derived from `seed`: random
-/// strictly-increasing interior bounds, the adversarial input for the
-/// exact-range router.
-fn ragged_bounds(d: usize, seed: u64) -> Vec<usize> {
-    let mut bounds = vec![0, d];
-    let mut state = seed | 1;
-    for _ in 0..(seed % 7) {
-        // Splitmix-style step; any deterministic scramble works here.
-        state = state
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(17)
-            .wrapping_add(0xD1B5_4A32_D192_ED03);
-        if d > 1 {
-            bounds.push((state as usize) % (d - 1) + 1);
-        }
-    }
-    bounds.sort_unstable();
-    bounds.dedup();
-    bounds
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// A serial op stream through a sharded store — pow2 chunked routing at
-    /// a random shard count AND an adversarial ragged partition — lands bit
-    /// for bit where the flat store puts it, with the per-shard counters
+    /// A serial op stream through the store — one shard and a random shard
+    /// count — returns the serial reference's prior value at every op and
+    /// lands bit for bit on its final state, with the per-shard counters
     /// accounting for exactly the ops routed into each range.
     #[test]
     fn sharded_stores_apply_op_streams_bit_identically_to_flat(
         d in 1_usize..300,
         shards in 1_usize..40,
-        seed in 0_u64..10_000,
         raw_ops in proptest::collection::vec((any::<u32>(), -1.0_f64..1.0), 0..64),
     ) {
         let x0: Vec<f64> = (0..d).map(|j| (j as f64) * 0.1 - 3.0).collect();
@@ -224,22 +221,17 @@ proptest! {
             .map(|&(raw, delta)| (raw as usize % d, delta))
             .collect();
 
-        let flat = SharedModel::new(&x0);
-        let chunked = ShardedModel::with_options(&x0, shards, UpdateOrder::SeqCst);
-        let ragged = ShardedModel::with_router(
-            &x0,
-            ShardRouter::ranged(ragged_bounds(d, seed)),
-            UpdateOrder::SeqCst,
-        );
+        let mut reference = x0.clone();
+        let one = ParamStore::new(&x0, 1);
+        let chunked = ParamStore::new(&x0, shards);
         for &(j, delta) in &ops {
-            let a = flat.fetch_add(j, delta);
-            let b = chunked.fetch_add(j, delta);
-            let c = ragged.fetch_add(j, delta);
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "prior value at {}", j);
-            prop_assert_eq!(a.to_bits(), c.to_bits(), "prior value at {}", j);
+            let prev = reference[j];
+            reference[j] += delta;
+            for store in [&one, &chunked] {
+                prop_assert_eq!(store.fetch_add(j, delta).to_bits(), prev.to_bits(), "prior value at {}", j);
+            }
         }
-        let reference = flat.snapshot();
-        for store in [&chunked, &ragged] {
+        for store in [&one, &chunked] {
             for (j, (a, b)) in reference.iter().zip(store.snapshot()).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "entry {}", j);
             }
@@ -266,7 +258,7 @@ proptest! {
         d in 1_usize..2_000,
         shards in 1_usize..64,
     ) {
-        let router = ShardRouter::balanced(d, shards);
+        let router = ShardRouter::new(d, shards);
         for j in 0..d {
             let (s, off) = router.route(j);
             let range = router.range(s);
