@@ -886,8 +886,9 @@ fn usage_chaos() -> ! {
          Adversarial-robustness gate. The `explore` suite model-checks the\n\
          workspace's concurrent protocols (snapshot seqlock, AtomicF64 CAS\n\
          loop, registry lifecycle, ingress queue under every backpressure\n\
-         policy, the telemetry registry's striped-cell validated collect)\n\
-         over every schedule within a preemption\n\
+         policy, the telemetry registry's striped-cell validated collect,\n\
+         the executors' per-worker stop check) over every schedule within\n\
+         a preemption\n\
          bound: the shipped protocols must verify, and deliberately seeded\n\
          bugs must be caught with minimized traces that replay to the\n\
          identical violation. The `net` suite runs the fault-injection\n\
@@ -981,8 +982,9 @@ fn chaos_explore_cell<P: asgd_chaos::Schedulable>(
 
 fn chaos_mode(args: &[String]) {
     use asgd_chaos::{
-        AddMode, AtomicAddModel, CollectMode, FenceMode, IngestQueueModel, LenMode, RegistryMode,
-        RegistryModel, ScanMode, ShardedCounterModel, SnapshotModel, TelemetryCellModel,
+        AddMode, AtomicAddModel, CollectMode, FenceMode, IngestQueueModel, LenMode, PollMode,
+        RegistryMode, RegistryModel, ScanMode, ShardedCounterModel, SnapshotModel, StopCheckModel,
+        TelemetryCellModel,
     };
     use asgd_oracle::BackpressurePolicy;
 
@@ -1068,6 +1070,13 @@ fn chaos_mode(args: &[String]) {
             false,
             &artifacts,
         );
+        failed |= !chaos_explore_cell(
+            "stop-check-worker-local",
+            &StopCheckModel::two_workers(PollMode::WorkerLocal),
+            bound,
+            false,
+            &artifacts,
+        );
         // Seeded bugs: the explorer must catch each one, and the minimized
         // trace must replay to the identical violation.
         failed |= !chaos_explore_cell(
@@ -1108,6 +1117,13 @@ fn chaos_mode(args: &[String]) {
         failed |= !chaos_explore_cell(
             "telemetry-collect-single-pass",
             &TelemetryCellModel::contended(CollectMode::SinglePass),
+            bound,
+            true,
+            &artifacts,
+        );
+        failed |= !chaos_explore_cell(
+            "stop-check-global-index",
+            &StopCheckModel::two_workers(PollMode::GlobalIndex),
             bound,
             true,
             &artifacts,

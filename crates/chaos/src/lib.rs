@@ -35,6 +35,12 @@
 //!   protocol (coherence of the published cross-shard vector), with a
 //!   validation-free split-read bug mode ([`ScanMode::SplitRead`]) that
 //!   publishes a torn snapshot under one adversarial preemption.
+//! * [`stop_check_model`] — the native executors' cooperative stop check
+//!   (every worker polls the flag every `stride` of its *own* claims, via
+//!   the shipped [`WorkerPoll`](asgd_hogwild::WorkerPoll) countdown), with
+//!   a global-claim-index bug mode ([`PollMode::GlobalIndex`]) that lets a
+//!   worker run two strides past the flag under two adversarial
+//!   preemptions.
 //! * [`netchaos`] — [`run_net_chaos`]: a fleet of retrying clients versus
 //!   a server under seeded [`FaultPlan`](asgd_net::FaultPlan) injection
 //!   (partial writes, short reads, delays, mid-frame disconnects),
@@ -56,6 +62,7 @@ pub mod netchaos;
 pub mod registry_model;
 pub mod sharded_model;
 pub mod snapshot_model;
+pub mod stop_check_model;
 pub mod telemetry_model;
 
 pub use atomic_model::{AddMode, AtomicAddModel};
@@ -68,4 +75,5 @@ pub use netchaos::{run_net_chaos, NetChaosError, NetChaosReport, NetChaosSpec};
 pub use registry_model::{RegistryMode, RegistryModel};
 pub use sharded_model::{ScanMode, ShardedCounterModel};
 pub use snapshot_model::{FenceMode, SnapshotModel};
+pub use stop_check_model::{PollMode, StopCheckModel};
 pub use telemetry_model::{CollectMode, TelemetryCellModel};

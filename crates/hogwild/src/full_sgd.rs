@@ -7,7 +7,7 @@
 //! final epoch's threads publish their locally accumulated updates into.
 //! The result is `r = snapshot + Σᵢ Acc[i]` (Algorithm 2, line 9).
 
-use crate::control::RunControl;
+use crate::control::{RunControl, WorkerPoll};
 use crate::shard::{ParamStore, StoreWriter};
 use crate::tuning::{dense_scratch, ExecTuning};
 use asgd_math::rng::SeedSequence;
@@ -177,6 +177,7 @@ impl<O: GradientOracle> NativeFullSgd<O> {
                     let mut sgrad = SparseGrad::with_capacity(grad_cap);
                     let mut sparse_acc: BTreeMap<usize, f64> = BTreeMap::new();
                     let mut done = 0u64;
+                    let mut poll = WorkerPoll::new(stride);
                     let mut stopped = false;
                     for epoch in 0..total_epochs {
                         let is_final = epoch + 1 == total_epochs;
@@ -224,7 +225,7 @@ impl<O: GradientOracle> NativeFullSgd<O> {
                                 break;
                             }
                             let global_claim = epoch as u64 * cfg.epoch_iterations + claim;
-                            if global_claim.is_multiple_of(stride) && ctrl.is_stopped() {
+                            if poll.stop_due(&ctrl, global_claim) {
                                 interrupted.store(true, Ordering::SeqCst);
                                 stopped = true;
                                 break;

@@ -10,7 +10,7 @@
 //! sanctioned mechanism (distinct model per epoch, full `f64`), and this
 //! type exists to demonstrate and test the guard semantics at the op level.
 
-use crate::control::RunControl;
+use crate::control::{RunControl, WorkerPoll};
 use crate::shard::{ShardRouter, ShardedVec};
 use crate::tuning::{dense_scratch, ExecTuning};
 use asgd_oracle::{ModelView, SparseGrad};
@@ -378,6 +378,7 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
                     let mut grad = dense_scratch(d, use_sparse, !use_sparse);
                     let mut sgrad = SparseGrad::with_capacity(grad_cap);
                     let mut done = 0u64;
+                    let mut poll = WorkerPoll::new(stride);
                     'epochs: for epoch in 0..epochs {
                         // Transition protocol: one thread advances every
                         // entry's epoch tag, the rest wait until done.
@@ -410,7 +411,7 @@ impl<O: asgd_oracle::GradientOracle> GuardedEpochSgd<O> {
                                 break;
                             }
                             let global_claim = offsets[epoch] + claim;
-                            if global_claim.is_multiple_of(stride) && ctrl.is_stopped() {
+                            if poll.stop_due(&ctrl, global_claim) {
                                 interrupted.store(true, Ordering::SeqCst);
                                 break 'epochs;
                             }

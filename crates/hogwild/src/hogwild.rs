@@ -1,6 +1,6 @@
 //! The native lock-free executor — Algorithm 1 on OS threads.
 
-use crate::control::RunControl;
+use crate::control::{RunControl, WorkerPoll};
 use crate::shard::{ParamStore, StoreWriter};
 use crate::snapshot::{ModelReader, SnapshotCell};
 use crate::tuning::{dense_scratch, ExecTuning};
@@ -47,8 +47,9 @@ pub struct HogwildReport {
     pub elapsed: Duration,
     /// Whether the run took the O(Δ) sparse gradient path.
     pub used_sparse: bool,
-    /// Whether the run was ended early by [`RunControl::stop`] (workers stop
-    /// within one success-check stride of the flag being raised).
+    /// Whether the run was ended early by [`RunControl::stop`] (each worker
+    /// stops within one success-check stride of its own claims after the
+    /// flag is raised).
     pub cancelled: bool,
 }
 
@@ -122,9 +123,10 @@ impl<O: GradientOracle> Hogwild<O> {
     }
 
     /// Like [`Hogwild::run`], with a [`RunControl`] for cancellation and
-    /// strided metrics. Both hooks fire when a claim index is a multiple of
-    /// [`ExecTuning::success_check_stride`], so their cost and the
-    /// cancellation latency are bounded regardless of `d`.
+    /// strided metrics. Each worker checks the stop flag every
+    /// [`ExecTuning::success_check_stride`] of its own claims; metrics fire
+    /// on global claim-index multiples of their own stride. So their cost
+    /// and the cancellation latency are bounded regardless of `d`.
     ///
     /// # Panics
     ///
@@ -178,12 +180,9 @@ impl<O: GradientOracle> Hogwild<O> {
                             let _ = crate::pin::pin_current_thread(tid);
                         }
                         let mut done = 0u64;
-                        // Step-timing state: one Instant read per stride
-                        // window (never per claim), so the sink costs the
-                        // same O(1)-per-stride as the stop check.
-                        let timing_on = ctrl.timing.is_some();
-                        let mut last_tick = Instant::now();
-                        let mut last_done = 0u64;
+                        // Stop check and step timing every `stride` of this
+                        // worker's own claims (see `control`).
+                        let mut poll = WorkerPoll::new(stride);
                         // Batched shard-counter accounting: one RMW per
                         // COUNTER_FLUSH updates instead of one per entry.
                         let mut writer = StoreWriter::new(model);
@@ -194,22 +193,9 @@ impl<O: GradientOracle> Hogwild<O> {
                                 if claim >= cfg.iterations {
                                     return done;
                                 }
-                                if claim.is_multiple_of(stride) {
-                                    if ctrl.is_stopped() {
-                                        interrupted.store(true, Ordering::SeqCst);
-                                        return done;
-                                    }
-                                    if timing_on && done > last_done {
-                                        let now = Instant::now();
-                                        let ns = now.duration_since(last_tick).as_nanos();
-                                        ctrl.emit_timing(
-                                            claim,
-                                            ns.min(u128::from(u64::MAX)) as u64,
-                                            done - last_done,
-                                        );
-                                        last_tick = now;
-                                        last_done = done;
-                                    }
+                                if poll.stop_due(&ctrl, claim) {
+                                    interrupted.store(true, Ordering::SeqCst);
+                                    return done;
                                 }
                                 if let (Some(hook), Some(cell)) = (ctrl.serve, cell) {
                                     if hook.publishes_at(claim) {
@@ -263,22 +249,9 @@ impl<O: GradientOracle> Hogwild<O> {
                                 if claim >= cfg.iterations {
                                     return done;
                                 }
-                                if claim.is_multiple_of(stride) {
-                                    if ctrl.is_stopped() {
-                                        interrupted.store(true, Ordering::SeqCst);
-                                        return done;
-                                    }
-                                    if timing_on && done > last_done {
-                                        let now = Instant::now();
-                                        let ns = now.duration_since(last_tick).as_nanos();
-                                        ctrl.emit_timing(
-                                            claim,
-                                            ns.min(u128::from(u64::MAX)) as u64,
-                                            done - last_done,
-                                        );
-                                        last_tick = now;
-                                        last_done = done;
-                                    }
+                                if poll.stop_due(&ctrl, claim) {
+                                    interrupted.store(true, Ordering::SeqCst);
+                                    return done;
                                 }
                                 if let (Some(hook), Some(cell)) = (ctrl.serve, cell) {
                                     if hook.publishes_at(claim) {
@@ -559,6 +532,134 @@ mod tests {
             "each worker stops within one stride: {} claims",
             report.iterations
         );
+    }
+
+    /// Forces two workers to take turns step by step, so their claim
+    /// indices split by parity (the interleaving that starves a stop check
+    /// keyed on the global claim index). Step `raise_at` (counted over both
+    /// workers) raises the stop flag; each worker's later steps are
+    /// counted.
+    struct Alternating<O> {
+        inner: O,
+        flag: Arc<AtomicBool>,
+        raise_at: u64,
+        slots: std::sync::Mutex<Vec<std::thread::ThreadId>>,
+        turn: std::sync::atomic::AtomicUsize,
+        steps: AtomicU64,
+        after_flag: [AtomicU64; 2],
+    }
+
+    impl<O> Alternating<O> {
+        fn new(inner: O, raise_at: u64) -> Self {
+            Self {
+                inner,
+                flag: Arc::new(AtomicBool::new(false)),
+                raise_at,
+                slots: std::sync::Mutex::new(Vec::new()),
+                turn: std::sync::atomic::AtomicUsize::new(0),
+                steps: AtomicU64::new(0),
+                after_flag: [AtomicU64::new(0), AtomicU64::new(0)],
+            }
+        }
+
+        /// Waits for this worker's turn (bounded: once the other worker
+        /// has exited, nobody hands the turn back), then runs `step`.
+        fn take_turn(&self, step: impl FnOnce()) {
+            let me = std::thread::current().id();
+            let slot = {
+                let mut slots = self.slots.lock().unwrap();
+                slots.iter().position(|&t| t == me).unwrap_or_else(|| {
+                    slots.push(me);
+                    slots.len() - 1
+                })
+            };
+            let deadline = Instant::now() + Duration::from_millis(5);
+            while self.turn.load(Ordering::SeqCst) != slot && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            if self.flag.load(Ordering::SeqCst) {
+                self.after_flag[slot].fetch_add(1, Ordering::SeqCst);
+            }
+            if self.steps.fetch_add(1, Ordering::SeqCst) == self.raise_at {
+                self.flag.store(true, Ordering::SeqCst);
+            }
+            step();
+            self.turn.store(1 - slot, Ordering::SeqCst);
+        }
+    }
+
+    impl<O: GradientOracle> GradientOracle for Alternating<O> {
+        fn dimension(&self) -> usize {
+            self.inner.dimension()
+        }
+        fn sample_gradient(&self, x: &[f64], rng: &mut dyn rand::RngCore, out: &mut [f64]) {
+            self.take_turn(|| self.inner.sample_gradient(x, rng, out));
+        }
+        fn max_support(&self) -> Option<usize> {
+            self.inner.max_support()
+        }
+        fn sample_gradient_sparse(
+            &self,
+            view: &dyn asgd_oracle::ModelView,
+            rng: &mut dyn rand::RngCore,
+            out: &mut SparseGrad,
+        ) {
+            self.take_turn(|| self.inner.sample_gradient_sparse(view, rng, out));
+        }
+        fn full_gradient(&self, x: &[f64], out: &mut [f64]) {
+            self.inner.full_gradient(x, out);
+        }
+        fn objective(&self, x: &[f64]) -> f64 {
+            self.inner.objective(x)
+        }
+        fn minimizer(&self) -> &[f64] {
+            self.inner.minimizer()
+        }
+        fn constants(&self, radius: f64) -> asgd_oracle::Constants {
+            self.inner.constants(radius)
+        }
+    }
+
+    fn alternating_stop<O: GradientOracle + 'static>(inner: O) -> [u64; 2] {
+        // Raised on an even claim just after a global stride multiple: a
+        // global-index check lets the odd-claim worker run on for about
+        // 1.5 strides of its own claims.
+        let stride = ExecTuning::default().stride();
+        let oracle = Arc::new(Alternating::new(inner, 10 * stride));
+        let d = oracle.dimension();
+        let report = Hogwild::new(
+            Arc::clone(&oracle),
+            HogwildConfig {
+                threads: 2,
+                iterations: u64::MAX / 2, // effectively unbounded
+                alpha: 0.01,
+                seed: 5,
+                success_radius_sq: None,
+            },
+        )
+        .run_controlled(
+            &vec![1.0; d],
+            RunControl {
+                stop: Some(&oracle.flag),
+                ..RunControl::default()
+            },
+        );
+        assert!(report.cancelled);
+        [0, 1].map(|slot| oracle.after_flag[slot].load(Ordering::SeqCst))
+    }
+
+    #[test]
+    fn each_worker_stops_within_a_stride_of_its_own_claims() {
+        let stride = ExecTuning::default().stride();
+        for after in [
+            alternating_stop(NoisyQuadratic::new(3, 0.1).unwrap()),
+            alternating_stop(SparseQuadratic::uniform(64, 1.0, 0.1).unwrap()),
+        ] {
+            assert!(
+                after.iter().all(|&n| n <= stride),
+                "steps per worker after the flag {after:?} exceed the stride {stride}"
+            );
+        }
     }
 
     #[test]

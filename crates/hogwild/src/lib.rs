@@ -83,7 +83,7 @@ pub mod snapshot;
 pub mod tuning;
 
 pub use atomic::{AtomicF64, CacheAligned};
-pub use control::{MetricsFn, MetricsSink, RunControl, TimingFn, TimingSink};
+pub use control::{MetricsFn, MetricsSink, RunControl, TimingFn, TimingSink, WorkerPoll};
 pub use full_sgd::{NativeFullSgd, NativeFullSgdConfig, NativeFullSgdReport};
 pub use guarded::{GuardedEpochSgd, GuardedEpochSgdConfig, GuardedEpochSgdReport, GuardedModel};
 pub use hogwild::{Hogwild, HogwildConfig, HogwildReport};

@@ -8,7 +8,7 @@
 //! comparison point for the `speedup` experiment and the
 //! `hogwild_scaling` bench.
 
-use crate::control::RunControl;
+use crate::control::{RunControl, WorkerPoll};
 use crate::tuning::ExecTuning;
 use asgd_math::rng::SeedSequence;
 use asgd_oracle::{GradientOracle, SparseGrad};
@@ -127,10 +127,12 @@ impl<O: GradientOracle> LockedSgd<O> {
                 let mut rng = seeds.child_rng(tid as u64);
                 scope.spawn(move || {
                     let mut done = 0u64;
-                    // Strided control point shared by both paths: stop at
-                    // the success-check stride, metrics at their own stride.
-                    let observe = |claim: u64| -> bool {
-                        if claim.is_multiple_of(stride) && ctrl.is_stopped() {
+                    // Strided control point shared by both paths: stop
+                    // every stride of this worker's own claims, metrics at
+                    // their own stride of the global claim index.
+                    let mut poll = WorkerPoll::new(stride);
+                    let mut observe = |claim: u64| -> bool {
+                        if poll.stop_due(&ctrl, claim) {
                             interrupted.store(true, Ordering::SeqCst);
                             return true;
                         }

@@ -66,7 +66,9 @@ pub struct ExecTuning {
     /// On the sparse path, the success-region check needs a full O(d)
     /// distance accumulation; it is sampled every this many claims instead
     /// of every claim (the dense path, which has the view anyway, keeps
-    /// checking every claim). Clamped to ≥ 1.
+    /// checking every claim). The same stride paces each worker's stop
+    /// check and step timing, counted in that worker's own claims.
+    /// Clamped to ≥ 1.
     pub success_check_stride: u64,
 }
 

@@ -478,6 +478,16 @@ mod tests {
         assert_eq!(stats[0].name, "ranker");
         assert_eq!(stats[0].dim, 4);
         assert_eq!(stats[1].dim, 6);
+        // Dropping cancels the trainer, which may not have stepped yet on a
+        // loaded machine. Wait (bounded) until it has claimed twice: its
+        // single worker claims again only after finishing a step, so the
+        // report then counts at least one iteration.
+        let trainer = registry.lookup(a).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while trainer.stats().iterations < 2 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        drop(trainer);
         let report = registry.drop_model("ranker").expect("drops");
         assert!(report.iterations > 0);
         assert_eq!(registry.len(), 1);

@@ -10,8 +10,8 @@
 //! with zero wrong bits: only retried successes or typed errors.
 
 use asyncsgd::chaos::{
-    replay, AddMode, AtomicAddModel, Explorer, FenceMode, NetChaosSpec, RegistryMode,
-    RegistryModel, ReplayOutcome, SnapshotModel, Violation,
+    replay, AddMode, AtomicAddModel, Explorer, FenceMode, NetChaosSpec, PollMode, RegistryMode,
+    RegistryModel, ReplayOutcome, SnapshotModel, StopCheckModel, Violation,
 };
 use asyncsgd::net::FaultPlan;
 use asyncsgd::shmem::sched::decode_schedule;
@@ -100,6 +100,22 @@ fn conservation_and_lifecycle_cells_split_correct_from_buggy() {
         .explore(&RegistryModel::name_race(RegistryMode::SplitCheck))
         .counterexample
         .is_some());
+}
+
+/// Stop-check cells: the per-worker countdown the executors ship bounds
+/// every worker's claims after the flag; the global-claim-index twin is
+/// caught, and its minimized artifact replays to the identical violation.
+#[test]
+fn stop_check_cells_split_worker_local_from_global_index() {
+    assert!(Explorer::with_bound(2)
+        .explore(&StopCheckModel::two_workers(PollMode::WorkerLocal))
+        .verified());
+    let twin = StopCheckModel::two_workers(PollMode::GlobalIndex);
+    let cex = Explorer::with_bound(2)
+        .explore(&twin)
+        .counterexample
+        .expect("global-index twin must be caught");
+    assert_replays_identically(&twin, &cex);
 }
 
 // -------------------------------------------------- replay fidelity (property)

@@ -2,7 +2,8 @@
 //! seeds must reproduce executions exactly, recorded schedules must
 //! replay to identical machines, and a 1-thread streaming hogwild run
 //! consuming a fixed observation sequence must be bit-identical to a
-//! sequential run consuming the same sequence.
+//! sequential run consuming the same sequence. The least-squares oracle's
+//! arithmetic is pinned bit for bit by a golden run.
 
 use asyncsgd::core::lockfree::{EpochSgdConfig, EpochSgdProcess};
 use asyncsgd::prelude::*;
@@ -195,4 +196,69 @@ fn streaming_one_thread_hogwild_is_bit_identical_to_sequential() {
         sequential.final_model.iter().any(|v| *v != 0.2),
         "observations never reached the trainer"
     );
+}
+
+fn fnv1a(values: &[f64]) -> u64 {
+    values.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+        (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Golden bits of a 1-thread sequential run on `minibatch-regression`,
+/// recorded with the one-row-at-a-time residual loop and the one-shot
+/// augmented elimination. The blocked residual kernel and the factor-once
+/// solve must reproduce them exactly. `d = 19` and `b = 13` leave a ragged
+/// tail in every batch (one block of eight, five single rows) and rows
+/// that are not a multiple of any vector width.
+#[test]
+fn minibatch_regression_sequential_run_matches_golden_bits() {
+    const GOLDEN_MODEL: [u64; 19] = [
+        0xbfe1_11c3_643a_d361,
+        0x3fd1_9550_fa10_e3e2,
+        0x3fed_0359_3122_04a4,
+        0x3fb4_0e60_67ae_c94e,
+        0x3faf_81b8_e95a_4b71,
+        0x3fde_f9f8_0712_bfa4,
+        0x3fc7_adea_797b_4eed,
+        0x3fd5_a97a_645c_1202,
+        0x3fdf_cf09_7565_7d4e,
+        0xbfdb_7d8b_e2d5_3464,
+        0xbfed_7677_d68c_9913,
+        0x3fba_8075_059d_df52,
+        0x3fe0_b66c_1442_90a6,
+        0x3fe5_1042_d8a8_4b80,
+        0x3fdb_66e7_5c9c_9cc0,
+        0xbfbd_4672_52b1_a551,
+        0x3fee_8bb0_0339_2921,
+        0x3fce_bfba_cff8_10e2,
+        0x3fe6_796e_e04c_23e7,
+    ];
+    let oracle_spec = OracleSpec::new("minibatch-regression", 19)
+        .batch(13)
+        .dataset(80)
+        .data_seed(0x60_1D);
+    let report = RunSpec::new(oracle_spec.clone(), BackendKind::Sequential)
+        .threads(1)
+        .iterations(3_000)
+        .learning_rate(0.01)
+        .x0(vec![0.5; 19])
+        .seed(7)
+        .run()
+        .expect("sequential run");
+    assert_eq!(report.iterations, 3_000);
+    let bits: Vec<u64> = report.final_model.iter().map(|v| v.to_bits()).collect();
+    assert_eq!(bits, GOLDEN_MODEL, "final model bits moved");
+
+    let oracle = oracle_spec.build().expect("builds");
+    // c = λ_min(AᵀA/m) from inverse power iteration; x* from the normal
+    // equations; f and ∇f from full passes of the residual kernel.
+    assert_eq!(oracle.constants(1.0).c.to_bits(), 0x3fd6_6d42_e700_b5f0);
+    assert_eq!(fnv1a(oracle.minimizer()), 0xfd43_7109_9385_b1a3);
+    assert_eq!(
+        oracle.objective(&report.final_model).to_bits(),
+        0x3f71_cc17_aa3d_8d36
+    );
+    let mut grad = vec![0.0; 19];
+    oracle.full_gradient(&report.final_model, &mut grad);
+    assert_eq!(fnv1a(&grad), 0x0b12_83ea_e35e_44fc);
 }
