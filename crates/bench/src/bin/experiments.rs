@@ -1122,6 +1122,13 @@ fn chaos_mode(args: &[String]) {
             &artifacts,
         );
         failed |= !chaos_explore_cell(
+            "telemetry-collect-reread",
+            &TelemetryCellModel::contended(CollectMode::ReReadAfterValidation),
+            bound,
+            true,
+            &artifacts,
+        );
+        failed |= !chaos_explore_cell(
             "stop-check-global-index",
             &StopCheckModel::two_workers(PollMode::GlobalIndex),
             bound,
@@ -1193,9 +1200,11 @@ fn usage_stats() -> ! {
          behind a real loopback socket under live query/ingest load, a\n\
          mid-run scrape that must be non-vacuous (iteration and per-shard\n\
          counters moving, serve-latency histogram filling, ingest gauges\n\
-         present), a trace sink whose JSONL must replay into a monotone\n\
-         per-run timeline, and a final scrape whose iteration counter must\n\
-         equal the training run's RunReport exactly.\n\
+         present) and well formed (serve-latency cumulative counts never\n\
+         decrease and close at _count), a trace sink whose JSONL must\n\
+         replay into a monotone per-run timeline, and a final scrape whose\n\
+         iteration counter must equal the training run's RunReport\n\
+         exactly.\n\
          \n\
          options (defaults in parentheses):\n\
          \x20 --addr HOST:PORT    scrape a live server and print the text\n\
@@ -1386,12 +1395,25 @@ fn stats_smoke(dim: usize, artifacts: Option<&Path>) {
     {
         fail("mid-run scrape shows no ingested observations");
     }
-    let latency_ok = mid_snap
+    let Some((_, latency)) = mid_snap
         .histograms
         .iter()
-        .any(|(k, h)| k == "asgd_net_serve_latency_ns" && h.count > 0 && h.sum > 0);
-    if !latency_ok {
+        .find(|(k, h)| k == "asgd_net_serve_latency_ns" && h.count > 0 && h.sum > 0)
+    else {
         fail("mid-run scrape's serve-latency histogram is empty");
+    };
+    // Well formed: cumulative counts never decrease, and no finite bucket
+    // exceeds `+Inf` (= `_count`); every observation sits under a finite
+    // bound, so a coherent snapshot closes exactly at `_count`.
+    if latency.buckets.windows(2).any(|w| w[0].1 > w[1].1) {
+        fail("serve-latency cumulative bucket counts decrease");
+    }
+    let last = latency.buckets.last().map_or(0, |&(_, cum)| cum);
+    if last > latency.count || (mid_snap.coherent && last != latency.count) {
+        fail(&format!(
+            "serve-latency last finite bucket {last} vs _count {} (coherent: {})",
+            latency.count, mid_snap.coherent
+        ));
     }
     if !mid_snap
         .gauges

@@ -16,11 +16,13 @@
 //! That last clause matters: a reader that validates but then re-reads the
 //! cells to build its totals re-opens the race it just closed (movement
 //! between the validated instant and the re-read goes out flagged
-//! coherent). [`CollectMode::Validated`] models the shipped protocol;
-//! [`CollectMode::SinglePass`] is the deliberately seeded bug twin that
-//! publishes its first collect as coherent with no validation pass, which
-//! the explorer tears with a single adversarial preemption and minimizes
-//! to a replayable trace.
+//! coherent). [`CollectMode::Validated`] models the shipped protocol. Two
+//! deliberately seeded bug twins break it, and the explorer tears each
+//! with a single adversarial preemption and minimizes it to a replayable
+//! trace: [`CollectMode::SinglePass`] publishes its first collect as
+//! coherent with no validation pass, and
+//! [`CollectMode::ReReadAfterValidation`] validates but then publishes a
+//! fresh re-read — what the registry once did for histogram buckets.
 //!
 //! Invariants, checked after every atomic step:
 //!
@@ -46,6 +48,10 @@ pub enum CollectMode {
     /// Seeded bug: the first per-cell collect is published as coherent
     /// with no validation pass.
     SinglePass,
+    /// Seeded bug: the collect validates, but the published totals come
+    /// from a second per-cell read taken after validation, flagged
+    /// coherent.
+    ReReadAfterValidation,
 }
 
 /// Model parameters: `writers × bumps_each` striped counter bumps against
@@ -121,6 +127,9 @@ enum ReaderPc {
     /// Validation pass, next re-reading cell `i`; `stable` is true while
     /// no re-read of this pass has observed movement.
     Validate { i: usize, stable: bool },
+    /// After a stable validation ([`CollectMode::ReReadAfterValidation`]
+    /// only), next re-reading cell `i` into the published totals.
+    ReRead(usize),
 }
 
 /// Published per-metric totals plus the coherence the reader claimed.
@@ -249,7 +258,7 @@ impl TelemetryCellModel {
                         // coherent — no pass ever validated the cut.
                         self.publish(state, true)
                     }
-                    CollectMode::Validated => {
+                    CollectMode::Validated | CollectMode::ReReadAfterValidation => {
                         state.reader_pc = ReaderPc::Validate { i: 0, stable: true };
                         StepStatus::Runnable
                     }
@@ -263,7 +272,12 @@ impl TelemetryCellModel {
                     state.reader_pc = ReaderPc::Validate { i: i + 1, stable };
                     return StepStatus::Runnable;
                 }
-                if stable {
+                if stable && self.collect_mode == CollectMode::ReReadAfterValidation {
+                    // The seeded bug: the pinned collect is thrown away
+                    // and the totals are read afresh.
+                    state.reader_pc = ReaderPc::ReRead(0);
+                    StepStatus::Runnable
+                } else if stable {
                     // A whole pass saw no movement: monotone cells pin
                     // every entry through the instant between the passes,
                     // and the totals are derived from that pinned collect.
@@ -275,6 +289,15 @@ impl TelemetryCellModel {
                     state.retries_left -= 1;
                     state.reader_pc = ReaderPc::Validate { i: 0, stable: true };
                     StepStatus::Runnable
+                }
+            }
+            ReaderPc::ReRead(i) => {
+                state.collect[i] = state.cells[i];
+                if i + 1 < self.cells() {
+                    state.reader_pc = ReaderPc::ReRead(i + 1);
+                    StepStatus::Runnable
+                } else {
+                    self.publish(state, true)
                 }
             }
         }
@@ -321,6 +344,29 @@ mod tests {
             other => panic!("minimized trace must reproduce the tear, got {other:?}"),
         }
         // And the artifact text round-trips to the same trace.
+        let decoded = asgd_shmem::sched::decode_schedule(&cex.artifact()).expect("artifact parses");
+        assert_eq!(decoded, cex.trace);
+    }
+
+    #[test]
+    fn re_read_after_validation_publishes_torn_totals_and_replays_identically() {
+        let model = TelemetryCellModel::contended(CollectMode::ReReadAfterValidation);
+        let report = Explorer::with_bound(2).explore(&model);
+        let cex = report
+            .counterexample
+            .expect("re-read after validation must tear");
+        assert!(
+            cex.violation.message.contains("torn snapshot"),
+            "{:?}",
+            cex.violation
+        );
+        // Validation passes on a quiet registry; the writer's burst lands
+        // between the reader's two re-reads.
+        assert_eq!(cex.preemptions, 1, "{cex:?}");
+        match replay(&model, &cex.trace) {
+            Err(ReplayOutcome::Violation(v)) => assert_eq!(v, cex.violation),
+            other => panic!("minimized trace must reproduce the tear, got {other:?}"),
+        }
         let decoded = asgd_shmem::sched::decode_schedule(&cex.artifact()).expect("artifact parses");
         assert_eq!(decoded, cex.trace);
     }

@@ -24,10 +24,8 @@ pub mod histogram;
 pub mod queue;
 pub mod table;
 pub mod trials;
-pub mod window;
 
 pub use histogram::{Histogram, Percentiles};
 pub use queue::{QueueCounters, QueueStats};
 pub use table::Table;
 pub use trials::{estimate_probability, trial_stats, ProbabilityEstimate};
-pub use window::SlidingHistogram;

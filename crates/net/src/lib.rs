@@ -20,8 +20,9 @@
 //!   backpressure), per-connection idle/write timeouts, and **SLO load
 //!   shedding**.
 //! * [`LoadShedder`] — tracks the rolling p99 of executed requests in a
-//!   count-rotated [`SlidingHistogram`](asgd_metrics::SlidingHistogram)
-//!   and, past the objective, sheds lowest-priority traffic first with
+//!   lock-free log-linear
+//!   [`TelemetryHistogram`](asgd_telemetry::TelemetryHistogram) windowed
+//!   by count-rotated bucket snapshots and, past the objective, sheds lowest-priority traffic first with
 //!   explicit [`Response::Shed`] frames. Shed requests skip their compute
 //!   entirely — that reclaimed CPU is what holds the admitted p99.
 //! * [`NetClient`] — a blocking client; [`run_net_workload`] — an

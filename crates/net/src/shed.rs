@@ -1,12 +1,11 @@
 //! SLO-based load shedding.
 //!
-//! The server tracks the rolling p99 of *executed* request latencies in an
-//! [`SlidingHistogram`] (a count-rotated
-//! window, so old overload decays as fresh traffic arrives) and compares
-//! it against a latency objective. Tiers are evaluated at the *shed
-//! trigger* — the SLO scaled by [`SloPolicy::trigger_ratio`] — so an
-//! operator can shed early enough that the declared objective itself
-//! still holds (a threshold controller with no headroom regulates the
+//! The server tracks the rolling p99 of *executed* request latencies over
+//! a count-rotated window (so old overload decays as fresh traffic
+//! arrives) and compares it against a latency objective. Tiers are
+//! evaluated at the *shed trigger* — the SLO scaled by
+//! [`SloPolicy::trigger_ratio`] — so an operator can shed early enough
+//! that the declared objective itself still holds (a threshold controller with no headroom regulates the
 //! p99 *to* its threshold, which would leave it hovering at the SLO):
 //!
 //! * p99 ≤ trigger — healthy; every priority is admitted;
@@ -29,20 +28,24 @@
 //! the window (they complete in ~µs; recording them would drag the p99
 //! down and oscillate the shedder), so recovery is driven by the rotation
 //! of the window as admitted requests complete.
+//!
+//! The window is a log-linear [`TelemetryHistogram`] (the telemetry
+//! registry's layout) plus a ring of per-bucket count snapshots, one
+//! taken every [`SloPolicy::bucket_capacity`] executions. The window's
+//! counts are the live counts minus the oldest snapshot still in scope, so
+//! after `n` executions it holds the last
+//! `(window_buckets − 1) · bucket_capacity + 1 ..= window_buckets ·
+//! bucket_capacity` of them, evicting a whole bucket's worth at each
+//! rotation. Recording takes no lock and allocates nothing; the p99 is
+//! [`quantile_le`] over the window, within 1/16 above the exact order
+//! statistic.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
-use asgd_metrics::SlidingHistogram;
+use asgd_telemetry::{cumulative_buckets, quantile_le, TelemetryHistogram, BUCKET_COUNT};
 
 use crate::protocol::Priority;
-
-/// Recovers a poisoned mutex: every critical section here leaves the
-/// window structurally valid, so the data is safe to keep using.
-fn lock_recovered<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
 
 /// The shedder's latency objective and window geometry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,17 +114,24 @@ pub enum Verdict {
 /// Rolling-p99 load shedder shared by every connection thread.
 ///
 /// The hot path ([`LoadShedder::verdict`]) is a single relaxed atomic
-/// load of the cached p99 — the histogram mutex is only taken when
-/// recording a completed request, and the p99 is re-derived at most once
-/// per [`refresh_stride`](SloPolicy::bucket_capacity) recordings.
+/// load of the cached p99. Recording a completed request is a striped
+/// histogram record and a counter bump; every `bucket_capacity / 8`
+/// recordings one thread re-derives the p99 in O([`BUCKET_COUNT`]), while
+/// concurrent recorders skip the refresh rather than wait for it.
 #[derive(Debug)]
 pub struct LoadShedder {
     policy: SloPolicy,
-    window: Mutex<SlidingHistogram>,
+    /// Every executed request's latency, ns.
+    hist: TelemetryHistogram,
+    /// `window_buckets + 1` per-bucket count snapshots: slot `m % len`
+    /// holds `hist`'s counts after `m · capacity` executions.
+    ring: Box<[[AtomicU64; BUCKET_COUNT]]>,
+    /// Executions per rotation (`bucket_capacity`, at least 1).
+    capacity: u64,
     /// Cached rolling p99 in ns; 0 = "no estimate yet".
     p99_ns: AtomicU64,
-    /// Executed requests recorded since the last p99 refresh.
-    since_refresh: AtomicU64,
+    /// Held by the one thread re-deriving the p99.
+    refreshing: AtomicBool,
     /// Refresh the cached p99 every this many recordings.
     refresh_stride: u64,
     /// Cached shedding tier: 0 healthy, 1 degraded (shed Low), 2
@@ -138,16 +148,19 @@ impl LoadShedder {
     /// A shedder with the given policy.
     #[must_use]
     pub fn new(policy: SloPolicy) -> Self {
-        let window = SlidingHistogram::new(policy.window_buckets, policy.bucket_capacity);
-        // Re-deriving quantiles is O(buckets × bins); a stride of 1/8 of a
-        // bucket keeps the estimate fresh (sub-bucket granularity) while
-        // amortising the scan.
+        // A stride of 1/8 of a rotation keeps the estimate fresh while
+        // amortising the O(BUCKET_COUNT) scan.
         let refresh_stride = (policy.bucket_capacity / 8).max(1);
+        let ring = (0..=policy.window_buckets.max(1))
+            .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
+            .collect();
         Self {
             policy,
-            window: Mutex::new(window),
+            hist: TelemetryHistogram::default(),
+            ring,
+            capacity: policy.bucket_capacity.max(1),
             p99_ns: AtomicU64::new(0),
-            since_refresh: AtomicU64::new(0),
+            refreshing: AtomicBool::new(false),
             refresh_stride,
             tier: AtomicU8::new(0),
             transitions: AtomicU64::new(0),
@@ -254,21 +267,47 @@ impl LoadShedder {
     /// Records the latency of one *executed* request and periodically
     /// refreshes the cached p99. Shed requests must not be recorded.
     pub fn record(&self, latency: Duration) {
-        self.executed_total.fetch_add(1, Ordering::Relaxed);
-        let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let mut window = lock_recovered(&self.window);
-        window.push(ns);
-        let n = self.since_refresh.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.refresh_stride {
-            self.since_refresh.store(0, Ordering::Relaxed);
-            let p99 = if window.len() >= self.policy.min_samples {
-                window.quantile(0.99).unwrap_or(0)
+        self.hist
+            .record(latency.as_nanos().min(u128::from(u64::MAX)) as u64);
+        let n = self.executed_total.fetch_add(1, Ordering::Relaxed) + 1;
+        if n.is_multiple_of(self.capacity) {
+            // Rotation m = n / capacity: snapshot the counts so far.
+            let slot = &self.ring[(n / self.capacity) as usize % self.ring.len()];
+            for (cell, count) in slot.iter().zip(self.hist.bucket_counts()) {
+                cell.store(count, Ordering::Relaxed);
+            }
+        }
+        if n.is_multiple_of(self.refresh_stride)
+            && self
+                .refreshing
+                .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
+        {
+            let window = self.window(n);
+            let total = window.iter().sum();
+            let p99 = if total >= self.policy.min_samples {
+                quantile_le(cumulative_buckets(&window), total, 0.99).unwrap_or(0)
             } else {
                 0
             };
             self.p99_ns.store(p99, Ordering::Relaxed);
             self.retier(p99);
+            self.refreshing.store(false, Ordering::Release);
         }
+    }
+
+    /// The window's per-bucket counts after `n` executions: live counts
+    /// minus the snapshot taken at the start of the oldest rotation bucket
+    /// still in the window (all zeros before the first eviction).
+    fn window(&self, n: u64) -> [u64; BUCKET_COUNT] {
+        let buckets = self.ring.len() as u64 - 1;
+        let oldest = (n.saturating_sub(1) / self.capacity + 1).saturating_sub(buckets);
+        let slot = &self.ring[oldest as usize % self.ring.len()];
+        let mut window = self.hist.bucket_counts();
+        for (w, cell) in window.iter_mut().zip(slot.iter()) {
+            *w = w.saturating_sub(cell.load(Ordering::Relaxed));
+        }
+        window
     }
 
     /// The current shedding tier: 0 healthy, 1 degraded, 2 overloaded.
@@ -496,6 +535,89 @@ mod tests {
             saturate(&shedder, ms(9), 256); // below the trigger releases
             assert_eq!(shedder.tier(), 0, "ratio {ratio} must disable the hold");
         }
+    }
+
+    /// The window's observations after the last recording.
+    fn window_of(shedder: &LoadShedder) -> asgd_telemetry::HistogramSnapshot {
+        let counts = shedder.window(shedder.executed_total());
+        asgd_telemetry::HistogramSnapshot::from_bucket_counts(&counts, 0)
+    }
+
+    fn ns_policy(window_buckets: usize, bucket_capacity: u64) -> SloPolicy {
+        SloPolicy {
+            window_buckets,
+            bucket_capacity,
+            min_samples: 1,
+            ..SloPolicy::with_slo(ms(10))
+        }
+    }
+
+    #[test]
+    fn empty_window_gives_no_estimate() {
+        let shedder = LoadShedder::new(ns_policy(4, 128));
+        let window = window_of(&shedder);
+        assert_eq!(window.count, 0);
+        assert_eq!(window.quantile_le(0.99), None);
+        assert_eq!(shedder.rolling_p99_ns(), None);
+    }
+
+    #[test]
+    fn geometry_is_clamped_to_one_bucket_of_one() {
+        // A zero-capacity window could never hold an observation: both
+        // knobs clamp to 1, so the window is the latest execution alone.
+        let shedder = LoadShedder::new(ns_policy(0, 0));
+        for ns in [7, 9, 11] {
+            shedder.record(Duration::from_nanos(ns));
+            let window = window_of(&shedder);
+            assert_eq!(window.count, 1);
+            assert_eq!(window.quantile_le(0.5), Some(ns));
+        }
+        assert_eq!(shedder.rolling_p99_ns(), Some(11));
+    }
+
+    #[test]
+    fn window_without_eviction_keeps_every_execution() {
+        let shedder = LoadShedder::new(ns_policy(4, 100));
+        for ns in 0..300 {
+            shedder.record(Duration::from_nanos(ns));
+        }
+        let window = window_of(&shedder);
+        assert_eq!(window.count, 300);
+        // Nearest-rank p99 of 0..300 is 296; its bucket 288..=303 reports
+        // the bound, within the 1/16 error bound.
+        assert_eq!(window.quantile_le(0.99), Some(303));
+        assert_eq!(shedder.rolling_p99_ns(), Some(303));
+    }
+
+    #[test]
+    fn old_executions_are_evicted_by_count() {
+        // Fill the whole window with slow executions, then record fast
+        // ones: after `capacity` fast recordings every slow one is gone and
+        // the p99 recovers. A cumulative histogram never would.
+        let shedder = LoadShedder::new(ns_policy(4, 50));
+        saturate(&shedder, Duration::from_millis(1), 200);
+        let p99 = shedder.rolling_p99_ns().expect("estimate");
+        assert!((1_000_000..1_000_000 + 1_000_000 / 16).contains(&p99));
+        saturate(&shedder, Duration::from_nanos(10), 200);
+        let window = window_of(&shedder);
+        assert_eq!(window.quantile_le(1.0), Some(10), "spike fully forgotten");
+        assert_eq!(window.count, 200);
+        assert_eq!(shedder.rolling_p99_ns(), Some(10));
+    }
+
+    #[test]
+    fn eviction_is_wholesale_per_bucket() {
+        // 2 buckets × 2: the 5th execution evicts executions 1 and 2
+        // together.
+        let shedder = LoadShedder::new(ns_policy(2, 2));
+        for ns in [1, 2, 3, 4] {
+            shedder.record(Duration::from_nanos(ns));
+        }
+        assert_eq!(window_of(&shedder).quantile_le(0.0), Some(1));
+        shedder.record(Duration::from_nanos(5));
+        let window = window_of(&shedder);
+        assert_eq!(window.quantile_le(0.0), Some(3), "oldest bucket evicted");
+        assert_eq!(window.count, 3);
     }
 
     #[test]

@@ -21,9 +21,18 @@
 //!    double-collects every monotone cell and flags the result `coherent`
 //!    only when two collects agree — the registry-wide generalisation of
 //!    `ParamStore::coherent_update_counts`, model-checked in `asgd-chaos`
-//!    (`TelemetryCellModel`, with a seeded torn-read twin the explorer
-//!    catches).
-//! 3. **Exposition is lossless.** `parse(render(snapshot)) == snapshot` for
+//!    (`TelemetryCellModel`, with seeded single-pass and re-read twins the
+//!    explorer catches). A histogram's buckets, count and sum all come from
+//!    that one collect, so its last cumulative count equals its count.
+//! 3. **Quantiles carry a stated error bound.** [`TelemetryHistogram`] is
+//!    log-linear: values 0–31 exactly, then 16 linear sub-buckets per
+//!    power of two up to `u64::MAX` ([`BUCKET_COUNT`] buckets, no overflow
+//!    bucket). [`quantile_le`] reports the bound of the bucket holding the
+//!    nearest-rank order statistic `x`, a value in `[x, x + x/16)`
+//!    (property-tested below). The net tier's load shedder windows the same
+//!    type, so its p99 and a scraped p99 share one layout and one
+//!    quantile function.
+//! 4. **Exposition is lossless.** `parse(render(snapshot)) == snapshot` for
 //!    every snapshot (property-tested below), so a scrape is a transport of
 //!    the registry state, not a lossy pretty-print.
 
@@ -36,8 +45,8 @@ pub mod trace;
 
 pub use expo::{parse, render, ParseError};
 pub use registry::{
-    global, thread_stripe, Counter, Gauge, HistogramSnapshot, MetricsRegistry, MetricsSnapshot,
-    TelemetryHistogram, BUCKET_COUNT, STRIPES,
+    cumulative_buckets, global, quantile_le, thread_stripe, Counter, Gauge, HistogramSnapshot,
+    MetricsRegistry, MetricsSnapshot, TelemetryHistogram, BUCKET_COUNT, STRIPES,
 };
 pub use trace::{replay, FieldValue, Span, TraceSink};
 
@@ -104,6 +113,26 @@ mod proptests {
         })
     }
 
+    /// Observations concentrated on the layout's edges: 0, the exact range
+    /// 1–31, powers of two ±1, `u64::MAX`, and arbitrary values.
+    fn edge_value_strategy() -> impl Strategy<Value = u64> {
+        (any::<u64>(), 0_u64..6).prop_map(|(bits, kind)| match kind {
+            0 => 0,
+            1 => 1 + bits % 31,
+            2 => {
+                let p = 1_u64 << (bits % 64);
+                match (bits >> 6) % 3 {
+                    0 => p,
+                    1 => p - 1,
+                    _ => p.saturating_add(1),
+                }
+            }
+            3 => u64::MAX,
+            4 => bits % 1_000_000,
+            _ => bits,
+        })
+    }
+
     fn dedup_by_name<T>(mut items: Vec<(String, T)>) -> Vec<(String, T)> {
         items.sort_by(|a, b| a.0.cmp(&b.0));
         items.dedup_by(|a, b| a.0 == b.0);
@@ -139,6 +168,38 @@ mod proptests {
             let text = render(&snap);
             let back = parse(&text).expect("rendered exposition parses");
             prop_assert_eq!(back, snap);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The stated error bound: for any multiset, `quantile_le(q)` is the
+        /// exact nearest-rank order statistic `x`, or exceeds it by less
+        /// than `x/16`. Drawing from a few distinct values gives heavy ties.
+        #[test]
+        fn quantile_le_is_within_one_sixteenth_of_the_order_statistic(
+            pool in proptest::collection::vec(edge_value_strategy(), 1..6),
+            picks in proptest::collection::vec(0_usize..6, 1..300),
+            q in 0.0_f64..1.0,
+        ) {
+            let h = TelemetryHistogram::default();
+            let mut sorted: Vec<u64> = picks.iter().map(|&i| pool[i % pool.len()]).collect();
+            for &v in &sorted {
+                h.record(v);
+            }
+            sorted.sort_unstable();
+            let snap = h.snapshot();
+            prop_assert_eq!(snap.count, sorted.len() as u64);
+            for q in [q, 0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+                let x = sorted[rank - 1];
+                let got = snap.quantile_le(q).expect("non-empty");
+                prop_assert!(
+                    got == x || (got > x && u128::from(got - x) * 16 < u128::from(x)),
+                    "q {} of {:?}: got {} for order statistic {}", q, sorted, got, x
+                );
+            }
         }
     }
 

@@ -11,9 +11,9 @@
 //! lock-free.
 //!
 //! Collection is *validated*: [`MetricsRegistry::snapshot`] double-collects
-//! every monotone progress cell (counter stripes and histogram counts) and
-//! only flags the snapshot `coherent` when two consecutive collects agree —
-//! the registry-wide generalisation of
+//! every monotone progress cell (counter stripes and histogram bucket
+//! totals) and only flags the snapshot `coherent` when two consecutive
+//! collects agree — the registry-wide generalisation of
 //! `ParamStore::coherent_update_counts`, model-checked in `asgd-chaos`
 //! (`TelemetryCellModel`).
 
@@ -129,18 +129,50 @@ impl Gauge {
     }
 }
 
-/// Power-of-two bucket upper bounds: `1, 2, 4, …, 2^(BUCKET_COUNT-1)`, with
-/// an implicit `+Inf` overflow bucket. 48 doublings cover 1 ns to ~3.3 days
-/// in nanoseconds — every latency this runtime can plausibly record.
-pub const BUCKET_COUNT: usize = 48;
+/// Linear sub-buckets per power-of-two major bucket, as a bit count: each
+/// major `[2^k, 2^(k+1))` splits into `2^SUB_BITS = 16` equal sub-buckets.
+const SUB_BITS: u32 = 4;
 
-/// Per-stripe histogram cells: bucket counts plus sum/count, each stripe a
-/// separate allocation so writers never share lines.
+/// Values below this are bucketed exactly, one bucket per value.
+const EXACT_BELOW: u64 = 2 << SUB_BITS;
+
+/// Buckets in the log-linear layout: values `0..32` exactly, then 16 linear
+/// sub-buckets for each major `[2^k, 2^(k+1))`, `k = 5..=63`, so every
+/// `u64` falls in a finite bucket (no overflow bucket). A bucket's width is
+/// at most 1/16 of its lower bound, which bounds every reported quantile:
+/// it lies in `[x, x + x/16)` for the exact order statistic `x`.
+pub const BUCKET_COUNT: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
+
+/// The bucket index observing `v`.
+#[must_use]
+fn bucket_index(v: u64) -> usize {
+    if v < EXACT_BELOW {
+        return v as usize;
+    }
+    // v ≥ 32, so its top bit k ≥ 5 and shift = k − 4 ≥ 1; `v >> shift` is
+    // the major's leading 1 plus four sub-bucket bits, in 16..32.
+    let shift = 63 - v.leading_zeros() - SUB_BITS;
+    ((shift as usize) << SUB_BITS) + (v >> shift) as usize
+}
+
+/// The largest value bucket `index` observes (its inclusive `le` bound).
+#[must_use]
+fn bucket_upper(index: usize) -> u64 {
+    if index < EXACT_BELOW as usize {
+        return index as u64;
+    }
+    let shift = (index >> SUB_BITS) - 1;
+    let lead = ((index & ((1 << SUB_BITS) - 1)) + (1 << SUB_BITS)) as u64;
+    (lead << shift) + ((1 << shift) - 1)
+}
+
+/// Per-stripe histogram cells: bucket counts in a separate allocation, and
+/// the sum on a cache line of its own, so writers never share lines.
+#[repr(align(64))]
 #[derive(Debug)]
 struct HistStripe {
-    buckets: Box<[AtomicU64; BUCKET_COUNT + 1]>,
+    buckets: Box<[AtomicU64; BUCKET_COUNT]>,
     sum: AtomicU64,
-    count: AtomicU64,
 }
 
 impl Default for HistStripe {
@@ -148,15 +180,14 @@ impl Default for HistStripe {
         Self {
             buckets: Box::new(std::array::from_fn(|_| AtomicU64::new(0))),
             sum: AtomicU64::new(0),
-            count: AtomicU64::new(0),
         }
     }
 }
 
-/// A lock-free bucketed histogram over `u64` observations (latencies in
-/// nanoseconds, staleness in iterations). Buckets are fixed powers of two
-/// ([`BUCKET_COUNT`] of them plus overflow), so `record` is a
-/// `leading_zeros` and three relaxed adds on the caller's stripe.
+/// A lock-free log-linear histogram over `u64` observations (latencies in
+/// nanoseconds, staleness in iterations). The [`BUCKET_COUNT`] buckets are
+/// fixed, so `record` is a `leading_zeros`, a shift and two relaxed adds
+/// on the caller's stripe.
 #[derive(Debug)]
 pub struct TelemetryHistogram {
     stripes: [HistStripe; STRIPES],
@@ -170,17 +201,6 @@ impl Default for TelemetryHistogram {
     }
 }
 
-/// The bucket index observing `v`: smallest `b` with `v ≤ 2^b`, or the
-/// overflow bucket.
-#[must_use]
-fn bucket_index(v: u64) -> usize {
-    if v <= 1 {
-        return 0;
-    }
-    let b = (64 - (v - 1).leading_zeros()) as usize;
-    b.min(BUCKET_COUNT)
-}
-
 impl TelemetryHistogram {
     /// Records one observation on the calling thread's stripe.
     #[inline]
@@ -188,16 +208,12 @@ impl TelemetryHistogram {
         let s = &self.stripes[thread_stripe()];
         s.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         s.sum.fetch_add(v, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Total observations across all stripes.
+    /// Total observations across all stripes (the buckets' total).
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.stripes
-            .iter()
-            .map(|s| s.count.load(Ordering::Acquire))
-            .sum()
+        self.bucket_counts().iter().sum()
     }
 
     /// Sum of all observations across all stripes (wrapping, like the
@@ -209,39 +225,69 @@ impl TelemetryHistogram {
         })
     }
 
-    /// A point-in-time snapshot (per-cell atomic reads, not validated).
+    /// Per-bucket observation counts summed over the stripes (per-cell
+    /// atomic reads, not validated).
     #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut per_bucket = [0u64; BUCKET_COUNT + 1];
+    pub fn bucket_counts(&self) -> [u64; BUCKET_COUNT] {
+        let mut counts = [0u64; BUCKET_COUNT];
         for s in &self.stripes {
-            for (acc, cell) in per_bucket.iter_mut().zip(s.buckets.iter()) {
+            for (acc, cell) in counts.iter_mut().zip(s.buckets.iter()) {
                 *acc += cell.load(Ordering::Acquire);
             }
         }
-        // Cumulative `le` counts over the non-empty prefix plus overflow.
-        let mut buckets = Vec::new();
-        let mut acc = 0;
-        for (b, &n) in per_bucket.iter().enumerate().take(BUCKET_COUNT) {
-            acc += n;
-            if n > 0 {
-                buckets.push((1u64 << b, acc));
-            }
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count(),
-            sum: self.sum(),
-        }
+        counts
     }
 
+    /// A point-in-time snapshot (per-cell atomic reads, not validated).
+    #[must_use]
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot::from_bucket_counts(&self.bucket_counts(), self.sum())
+    }
+
+    /// Appends the per-bucket counts and then the sum to `out`. The bucket
+    /// totals are monotone, so two equal collects pin every stripe cell.
     fn collect_cells(&self, out: &mut Vec<u64>) {
-        out.extend(self.stripes.iter().map(|s| s.count.load(Ordering::Acquire)));
+        out.extend_from_slice(&self.bucket_counts());
+        out.push(self.sum());
     }
 }
 
+/// The `(le, cumulative count)` pairs of the non-empty buckets in
+/// `counts`, in increasing bound order.
+pub fn cumulative_buckets(counts: &[u64]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let mut acc = 0;
+    counts.iter().enumerate().filter_map(move |(i, &n)| {
+        acc += n;
+        (n > 0).then(|| (bucket_upper(i), acc))
+    })
+}
+
+/// The nearest-rank `q`-quantile of a bucketed distribution, reported as
+/// the bound of the bucket holding it: the first `le` whose cumulative
+/// count reaches `⌈q · count⌉` (at least 1). `None` when `count` is 0 or
+/// no bucket reaches the rank. Over the [`BUCKET_COUNT`] layout the result
+/// lies in `[x, x + x/16)` for the exact order statistic `x`, and equals
+/// `x` below 32.
+#[must_use]
+pub fn quantile_le(
+    cumulative: impl IntoIterator<Item = (u64, u64)>,
+    count: u64,
+    q: f64,
+) -> Option<u64> {
+    if count == 0 {
+        return None;
+    }
+    let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).clamp(1, count);
+    cumulative
+        .into_iter()
+        .find(|&(_, cum)| cum >= target)
+        .map(|(le, _)| le)
+}
+
 /// A histogram's point-in-time state: cumulative `(le, count)` pairs for
-/// every non-empty power-of-two bucket (observations above the last bound
-/// appear only in `count`), plus the total count and sum.
+/// every non-empty bucket, plus the total count and sum. Every observation
+/// falls under a finite bound, so a snapshot taken from a histogram has a
+/// last cumulative count equal to `count`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
     /// `(upper bound, cumulative count ≤ bound)` in increasing bound order.
@@ -253,20 +299,22 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// The smallest bucket bound with cumulative count ≥ `q · count` — a
-    /// conservative (upper-bounded) quantile estimate from bucketed data.
+    /// The snapshot of per-bucket `counts` as
+    /// [`TelemetryHistogram::bucket_counts`] returns them; `count` is their
+    /// total.
+    #[must_use]
+    pub fn from_bucket_counts(counts: &[u64], sum: u64) -> Self {
+        Self {
+            buckets: cumulative_buckets(counts).collect(),
+            count: counts.iter().sum(),
+            sum,
+        }
+    }
+
+    /// The [`quantile_le`] of this snapshot.
     #[must_use]
     pub fn quantile_le(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        for &(le, cum) in &self.buckets {
-            if cum >= target {
-                return Some(le);
-            }
-        }
-        self.buckets.last().map(|&(le, _)| le)
+        quantile_le(self.buckets.iter().copied(), self.count, q)
     }
 }
 
@@ -275,7 +323,7 @@ impl HistogramSnapshot {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// True when the double-collect validated: no monotone cell moved
-    /// between the two collects, so the counters and histogram counts are
+    /// between the two collects, so the counters and histogram buckets are
     /// an instantaneous cross-metric state. Gauges are always last-write.
     pub coherent: bool,
     /// `(name, total)` per counter, in name order.
@@ -355,7 +403,7 @@ impl MetricsRegistry {
     /// A validated snapshot of every registered metric.
     ///
     /// Collects every monotone progress cell (counter stripes, histogram
-    /// counts), then re-collects: equal collects mean no metric moved
+    /// bucket totals), then re-collects: equal collects mean no metric moved
     /// between the two passes, so the snapshot is an instantaneous state the
     /// registry actually passed through (`coherent = true`). Under churn the
     /// collect retries a bounded number of times and then returns the last
@@ -404,26 +452,27 @@ impl MetricsRegistry {
             }
             std::mem::swap(&mut seen, &mut again);
         }
-        // Counter totals and histogram counts are derived from the
-        // *validated* collect, never re-read — re-reading after validation
-        // would let movement slip between the validated instant and the
-        // published values, silently un-pinning a coherent-flagged
-        // snapshot (the torn-read twin `asgd-chaos` catches).
-        let mut cells = seen.chunks_exact(STRIPES);
+        // Counter totals and whole histograms (buckets, count, sum) are
+        // derived from the *validated* collect, never re-read — re-reading
+        // after validation would let movement slip between the validated
+        // instant and the published values, silently un-pinning a
+        // coherent-flagged snapshot (the torn-read twin `asgd-chaos`
+        // catches).
+        let (counter_cells, hist_cells) = seen.split_at(counters.len() * STRIPES);
         let counters = counters
             .iter()
-            .map(|(k, _)| {
-                let total = cells.next().map_or(0, |c| c.iter().sum());
-                (k.clone(), total)
-            })
+            .zip(counter_cells.chunks_exact(STRIPES))
+            .map(|((k, _), c)| (k.clone(), c.iter().sum()))
             .collect();
         let histograms = histograms
             .iter()
-            .map(|(k, h)| {
-                let count = cells.next().map_or(0, |c| c.iter().sum());
-                let mut snap = h.snapshot();
-                snap.count = count;
-                (k.clone(), snap)
+            .zip(hist_cells.chunks_exact(BUCKET_COUNT + 1))
+            .map(|((k, _), c)| {
+                let (counts, sum) = c.split_at(BUCKET_COUNT);
+                (
+                    k.clone(),
+                    HistogramSnapshot::from_bucket_counts(counts, sum[0]),
+                )
             })
             .collect();
         MetricsSnapshot {
@@ -486,14 +535,28 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_powers_of_two() {
-        assert_eq!(bucket_index(0), 0);
-        assert_eq!(bucket_index(1), 0);
-        assert_eq!(bucket_index(2), 1);
-        assert_eq!(bucket_index(3), 2);
-        assert_eq!(bucket_index(4), 2);
-        assert_eq!(bucket_index(5), 3);
-        assert_eq!(bucket_index(u64::MAX), BUCKET_COUNT);
+    fn log_linear_buckets_are_exact_below_32_and_tile_u64() {
+        for v in 0..32 {
+            assert_eq!(bucket_index(v), v as usize);
+            assert_eq!(bucket_upper(v as usize), v);
+        }
+        assert_eq!(bucket_index(32), 32);
+        assert_eq!(bucket_index(33), 32);
+        assert_eq!(bucket_index(34), 33);
+        assert_eq!(bucket_index(u64::MAX), BUCKET_COUNT - 1);
+        assert_eq!(bucket_upper(BUCKET_COUNT - 1), u64::MAX);
+        // Buckets are contiguous, and each is at most 1/16 of its lower
+        // bound wide.
+        for i in 1..BUCKET_COUNT {
+            let lo = bucket_upper(i - 1) + 1;
+            let hi = bucket_upper(i);
+            assert_eq!(bucket_index(lo), i);
+            assert_eq!(bucket_index(hi), i);
+            assert!(
+                lo < 32 || (hi - lo + 1) * 16 <= lo,
+                "bucket {i}: {lo}..={hi}"
+            );
+        }
         let h = TelemetryHistogram::default();
         for v in [1, 2, 3, 1000, u64::MAX] {
             h.record(v);
@@ -502,16 +565,73 @@ mod tests {
         assert_eq!(h.sum(), 1006_u64.wrapping_add(u64::MAX));
         let snap = h.snapshot();
         assert_eq!(snap.count, 5);
-        // The overflow observation is in count but under no finite bound.
-        let last_cum = snap.buckets.last().unwrap().1;
-        assert_eq!(last_cum, 4);
-        // Bounds increase and cumulative counts are monotone.
+        // Every observation sits under a finite bound: no overflow bucket.
+        assert_eq!(snap.buckets.last(), Some(&(u64::MAX, 5)));
         for w in snap.buckets.windows(2) {
             assert!(w[0].0 < w[1].0 && w[0].1 <= w[1].1);
         }
-        // Median target is the 3rd observation (value 3), bucketed ≤ 4.
-        assert_eq!(snap.quantile_le(0.5), Some(4));
+        // Median target is the 3rd observation (value 3), recorded exactly.
+        assert_eq!(snap.quantile_le(0.5), Some(3));
+        assert_eq!(snap.quantile_le(1.0), Some(u64::MAX));
         assert_eq!(HistogramSnapshot::default().quantile_le(0.5), None);
+    }
+
+    #[test]
+    fn quantiles_above_every_power_of_two_bound_are_reported() {
+        // Values past 2^47 stay visible to quantiles: there is no
+        // overflow bucket for them to vanish into.
+        let v = (1_u64 << 50) + 12_345;
+        let h = TelemetryHistogram::default();
+        h.record(v);
+        let median = h.snapshot().quantile_le(0.5);
+        assert!(
+            median.is_some_and(|m| m >= v && m - v < v / 16),
+            "{median:?}"
+        );
+        // A quantile falling past the last power-of-two bound must not
+        // report a bound below the observation.
+        let h = TelemetryHistogram::default();
+        h.record(1);
+        h.record(1 << 60);
+        let max = h.snapshot().quantile_le(1.0);
+        assert!(max.is_some_and(|m| m >= 1 << 60), "{max:?}");
+    }
+
+    #[test]
+    fn coherent_histogram_snapshots_close_at_their_count_under_churn() {
+        // One writer records while snapshots are taken. Buckets, count and
+        // sum must come from the one validated collect: a coherent snapshot
+        // whose last cumulative count differs from `count` renders a `+Inf`
+        // bucket below a finite one.
+        let r = MetricsRegistry::new();
+        let h = r.histogram("churn_ns");
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let mut bad = Vec::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut v = 0_u64;
+                while !stop.load(Ordering::Relaxed) {
+                    h.record(v % 5_000);
+                    v += 7;
+                }
+            });
+            for _ in 0..600 {
+                let snap = r.snapshot();
+                let hs = &snap.histograms[0].1;
+                let last = hs.buckets.last().map_or(0, |b| b.1);
+                let monotone = hs.buckets.windows(2).all(|w| w[0].1 <= w[1].1);
+                if !monotone || last > hs.count || (snap.coherent && last != hs.count) {
+                    bad.push((snap.coherent, last, hs.count));
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert!(
+            bad.is_empty(),
+            "{} of 600 snapshots malformed (coherent, last cumulative, count): {:?}",
+            bad.len(),
+            &bad[..bad.len().min(5)]
+        );
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! with zero wrong bits: only retried successes or typed errors.
 
 use asyncsgd::chaos::{
-    replay, AddMode, AtomicAddModel, Explorer, FenceMode, NetChaosSpec, PollMode, RegistryMode,
-    RegistryModel, ReplayOutcome, SnapshotModel, StopCheckModel, Violation,
+    replay, AddMode, AtomicAddModel, CollectMode, Explorer, FenceMode, NetChaosSpec, PollMode,
+    RegistryMode, RegistryModel, ReplayOutcome, SnapshotModel, StopCheckModel, TelemetryCellModel,
+    Violation,
 };
 use asyncsgd::net::FaultPlan;
 use asyncsgd::shmem::sched::decode_schedule;
@@ -115,6 +116,25 @@ fn stop_check_cells_split_worker_local_from_global_index() {
         .explore(&twin)
         .counterexample
         .expect("global-index twin must be caught");
+    assert_replays_identically(&twin, &cex);
+}
+
+/// Telemetry collect cells (`telemetry-collect-validated` and
+/// `telemetry-collect-reread` in `experiments chaos`): the validated
+/// collect the registry ships verifies at bound 2; the twin that validates
+/// and then publishes a fresh re-read is caught, and its minimized
+/// artifact replays to the identical violation.
+#[test]
+fn telemetry_collect_cells_split_validated_from_re_read() {
+    assert!(Explorer::with_bound(2)
+        .explore(&TelemetryCellModel::churning(CollectMode::Validated))
+        .verified());
+    let twin = TelemetryCellModel::contended(CollectMode::ReReadAfterValidation);
+    let cex = Explorer::with_bound(2)
+        .explore(&twin)
+        .counterexample
+        .expect("re-read twin must be caught");
+    assert!(cex.violation.message.contains("torn snapshot"), "{cex:?}");
     assert_replays_identically(&twin, &cex);
 }
 
