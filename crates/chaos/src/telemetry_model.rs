@@ -22,7 +22,8 @@
 //! trace: [`CollectMode::SinglePass`] publishes its first collect as
 //! coherent with no validation pass, and
 //! [`CollectMode::ReReadAfterValidation`] validates but then publishes a
-//! fresh re-read — what the registry once did for histogram buckets.
+//! fresh re-read, as a snapshot that re-reads histogram buckets after
+//! validating only their counts would.
 //!
 //! Invariants, checked after every atomic step:
 //!
@@ -344,29 +345,6 @@ mod tests {
             other => panic!("minimized trace must reproduce the tear, got {other:?}"),
         }
         // And the artifact text round-trips to the same trace.
-        let decoded = asgd_shmem::sched::decode_schedule(&cex.artifact()).expect("artifact parses");
-        assert_eq!(decoded, cex.trace);
-    }
-
-    #[test]
-    fn re_read_after_validation_publishes_torn_totals_and_replays_identically() {
-        let model = TelemetryCellModel::contended(CollectMode::ReReadAfterValidation);
-        let report = Explorer::with_bound(2).explore(&model);
-        let cex = report
-            .counterexample
-            .expect("re-read after validation must tear");
-        assert!(
-            cex.violation.message.contains("torn snapshot"),
-            "{:?}",
-            cex.violation
-        );
-        // Validation passes on a quiet registry; the writer's burst lands
-        // between the reader's two re-reads.
-        assert_eq!(cex.preemptions, 1, "{cex:?}");
-        match replay(&model, &cex.trace) {
-            Err(ReplayOutcome::Violation(v)) => assert_eq!(v, cex.violation),
-            other => panic!("minimized trace must reproduce the tear, got {other:?}"),
-        }
         let decoded = asgd_shmem::sched::decode_schedule(&cex.artifact()).expect("artifact parses");
         assert_eq!(decoded, cex.trace);
     }

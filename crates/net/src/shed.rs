@@ -5,8 +5,9 @@
 //! arrives) and compares it against a latency objective. Tiers are
 //! evaluated at the *shed trigger* — the SLO scaled by
 //! [`SloPolicy::trigger_ratio`] — so an operator can shed early enough
-//! that the declared objective itself still holds (a threshold controller with no headroom regulates the
-//! p99 *to* its threshold, which would leave it hovering at the SLO):
+//! that the declared objective itself still holds (a threshold controller
+//! with no headroom regulates the p99 *to* its threshold, which would
+//! leave it hovering at the SLO):
 //!
 //! * p99 ≤ trigger — healthy; every priority is admitted;
 //! * trigger < p99 ≤ 2×trigger — degraded; [`Priority::Low`] is shed;
