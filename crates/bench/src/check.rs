@@ -21,8 +21,8 @@
 //!   (α, horizon, total iterations, bound) must agree with the committed
 //!   artifact within the tolerance. Fewer fresh trials only coarsen the
 //!   measured rate, which the gate does not compare.
-//! - **ingest**: the committed `BENCH_ingest.json` must parse row-by-row
-//!   as [`IngestReport`]s, and every drifted cell must carry a finite
+//! - **ingest**: the committed `BENCH_ingest.json` rows must decode as
+//!   [`IngestReport`]s, and every drifted cell must carry a finite
 //!   time-to-recover — a committed cell that never got back inside the
 //!   success region is not a baseline, it is a regression already. One
 //!   fresh quick drift cell then re-runs the live loop end to end and must
@@ -40,10 +40,13 @@
 //! Cells only one side measured (the full grids are wider than the fresh
 //! ones) are skipped. An empty intersection is itself a failure: a gate
 //! that compares nothing gates nothing.
+//!
+//! Committed rows are read through [`read_rows`] into the same `Row` /
+//! report records the experiments write, so committed and fresh cells are
+//! keyed by one function per artifact.
 
 use crate::experiments::{ingest, serving, serving_net, sparse_scaling};
-use asgd_driver::json::{self, Value};
-use asgd_driver::report::{field_f64, field_str, field_u64};
+use asgd_driver::json::{self, DecodeError, Json};
 use asgd_driver::{validate, ValidationCell, ValidationPlan, ValidationReport};
 use asgd_ingest::IngestReport;
 use asgd_oracle::OracleSpec;
@@ -107,37 +110,17 @@ impl CheckReport {
     }
 }
 
-fn load_rows(path: &Path) -> Result<Vec<Value>, String> {
+/// Reads a committed artifact's `rows` array as typed records.
+///
+/// # Errors
+///
+/// The path plus the read, parse or decode error.
+pub fn read_rows<T: Json>(path: &Path) -> Result<Vec<T>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let root = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let rows = root
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{}: missing `rows` array", path.display()))?;
-    Ok(rows.to_vec())
-}
-
-fn committed_map(
-    rows: &[Value],
-    key_of: impl Fn(&Value) -> Result<Option<String>, asgd_driver::DecodeError>,
-    baseline_of: impl Fn(&Value) -> Result<Baseline, asgd_driver::DecodeError>,
-) -> Result<BTreeMap<String, Baseline>, String> {
-    let mut map = BTreeMap::new();
-    for row in rows {
-        let Some(key) = key_of(row).map_err(|e| e.to_string())? else {
-            continue;
-        };
-        map.insert(key, baseline_of(row).map_err(|e| e.to_string())?);
-    }
-    Ok(map)
-}
-
-/// The serving artifacts' measured pair: answered throughput + p99.
-fn qps_p99(row: &Value) -> Result<Baseline, asgd_driver::DecodeError> {
-    Ok(Baseline {
-        qps: field_f64(row, "qps")?,
-        p99_ns: field_u64(row, "p99_ns")?,
-    })
+    json::parse(&text)
+        .map_err(DecodeError::from)
+        .and_then(|root| json::field(&root, "rows"))
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Compares fresh cells against committed baselines; appends one line per
@@ -200,9 +183,8 @@ fn compare(
     }
 }
 
-fn serving_fresh() -> BTreeMap<String, Baseline> {
-    serving::sweep(true)
-        .into_iter()
+fn serving_cells(rows: &[serving::Row]) -> BTreeMap<String, Baseline> {
+    rows.iter()
         .map(|r| {
             (
                 format!(
@@ -227,35 +209,29 @@ const SPARSE_GATE_DIMS: &[usize] = &[16, 1024];
 const SPARSE_GATE_THREADS: &[usize] = &[1, 2];
 const SPARSE_GATE_ITERATIONS: u64 = 20_000;
 
-fn sparse_key(d: u64, path: &str, store: &str, threads: u64) -> String {
-    format!("d={d},path={path},store={store},threads={threads}")
-}
-
-fn sparse_fresh() -> BTreeMap<String, Baseline> {
-    sparse_scaling::sweep_cells(
-        SPARSE_GATE_DIMS,
-        SPARSE_GATE_THREADS,
-        SPARSE_GATE_ITERATIONS,
-    )
-    .into_iter()
-    .map(|r| {
-        (
-            sparse_key(r.d as u64, r.path, r.store, r.threads as u64),
-            Baseline {
-                qps: r.iters_per_sec,
-                p99_ns: 0, // throughput-only: the artifact has no latency column
-            },
-        )
-    })
-    .collect()
+fn sparse_cells(rows: &[sparse_scaling::Row]) -> BTreeMap<String, Baseline> {
+    rows.iter()
+        .map(|r| {
+            (
+                format!(
+                    "d={},path={},store={},threads={}",
+                    r.d, r.path, r.store, r.threads
+                ),
+                Baseline {
+                    qps: r.iters_per_sec,
+                    p99_ns: 0, // throughput-only: the artifact has no latency column
+                },
+            )
+        })
+        .collect()
 }
 
 /// The dimension floor above which the committed artifact must show the
 /// sharded store holding its own against the flat one.
-const SHARDED_GATE_MIN_D: u64 = 1 << 20;
+const SHARDED_GATE_MIN_D: usize = 1 << 20;
 /// The thread floor for the same gate: below real concurrency the stores
 /// are equivalent by construction, so the comparison would gate nothing.
-const SHARDED_GATE_MIN_THREADS: u64 = 4;
+const SHARDED_GATE_MIN_THREADS: usize = 4;
 
 /// Gates the committed artifact's own store comparison: at every
 /// `(d ≥ 1M, threads ≥ 4)` sparse-path cell measured on both stores, the
@@ -264,28 +240,19 @@ const SHARDED_GATE_MIN_THREADS: u64 = 4;
 /// cells on every check would dominate the gate's runtime — so it pins the
 /// claim the artifact was committed to support: sharding does not lose
 /// throughput where it is supposed to win.
-fn sharded_store_gate(rows: &[Value], tol: f64, report: &mut CheckReport) {
-    let mut by_cell: BTreeMap<(u64, u64), (Option<f64>, Option<f64>)> = BTreeMap::new();
+fn sharded_store_gate(rows: &[sparse_scaling::Row], tol: f64, report: &mut CheckReport) {
+    let mut by_cell: BTreeMap<(usize, usize), (Option<f64>, Option<f64>)> = BTreeMap::new();
     for row in rows {
-        let parsed = (|| -> Result<_, asgd_driver::DecodeError> {
-            Ok((
-                field_u64(row, "d")?,
-                field_u64(row, "threads")?,
-                field_str(row, "path")?,
-                field_str(row, "store")?,
-                field_f64(row, "iters_per_sec")?,
-            ))
-        })();
-        let Ok((d, threads, path, store, ips)) = parsed else {
-            continue; // rows without a store column predate the grid
-        };
-        if d < SHARDED_GATE_MIN_D || threads < SHARDED_GATE_MIN_THREADS || path != "sparse" {
+        if row.d < SHARDED_GATE_MIN_D
+            || row.threads < SHARDED_GATE_MIN_THREADS
+            || row.path != "sparse"
+        {
             continue;
         }
-        let slot = by_cell.entry((d, threads)).or_default();
-        match store.as_str() {
-            "flat" => slot.0 = Some(ips),
-            "sharded" => slot.1 = Some(ips),
+        let slot = by_cell.entry((row.d, row.threads)).or_default();
+        match row.store.as_str() {
+            "flat" => slot.0 = Some(row.iters_per_sec),
+            "sharded" => slot.1 = Some(row.iters_per_sec),
             _ => {}
         }
     }
@@ -556,8 +523,7 @@ fn validation_gate(dir: &Path, tol: f64, report: &mut CheckReport) {
 /// what the gate pins is the *property* every committed and fresh cell
 /// must have — finite recovery.
 fn ingest_gate(dir: &Path, report: &mut CheckReport) {
-    let path = dir.join("BENCH_ingest.json");
-    let rows = match load_rows(&path) {
+    let rows: Vec<IngestReport> = match read_rows(&dir.join("BENCH_ingest.json")) {
         Ok(rows) => rows,
         Err(e) => {
             report.failures.push(format!("ingest baseline: {e}"));
@@ -570,16 +536,7 @@ fn ingest_gate(dir: &Path, report: &mut CheckReport) {
             .push("ingest: committed artifact has no rows — the gate is vacuous".to_string());
         return;
     }
-    for (i, row) in rows.iter().enumerate() {
-        let cell = match IngestReport::from_value(row) {
-            Ok(cell) => cell,
-            Err(e) => {
-                report.failures.push(format!(
-                    "ingest row {i}: does not parse as IngestReport: {e}"
-                ));
-                continue;
-            }
-        };
+    for cell in &rows {
         let key = format!("producers={},policy={}", cell.producers, cell.policy);
         let mut verdict = "ok";
         if cell.consumed == 0 {
@@ -618,9 +575,8 @@ fn ingest_gate(dir: &Path, report: &mut CheckReport) {
     }
 }
 
-fn serving_net_fresh() -> BTreeMap<String, Baseline> {
-    serving_net::sweep(true)
-        .into_iter()
+fn serving_net_cells(rows: &[serving_net::Row]) -> BTreeMap<String, Baseline> {
+    rows.iter()
         .filter(|r| r.cell == "grid")
         .map(|r| {
             (
@@ -650,75 +606,42 @@ pub fn run_bench_check(dir: &Path, tol: f64) -> CheckReport {
     let mut report = CheckReport::default();
     report.lines.push(format!("tolerance: {:.0}%", tol * 100.0));
 
-    match load_rows(&dir.join("BENCH_serving.json")).and_then(|rows| {
-        committed_map(
-            &rows,
-            |row| {
-                Ok(Some(format!(
-                    "clients={},mode={},threads={}",
-                    field_u64(row, "clients")?,
-                    field_str(row, "mode")?,
-                    field_u64(row, "trainer_threads")?
-                )))
-            },
-            qps_p99,
-        )
-    }) {
-        Ok(committed) => compare("serving", &committed, &serving_fresh(), tol, &mut report),
+    match read_rows(&dir.join("BENCH_serving.json")) {
+        Ok(rows) => compare(
+            "serving",
+            &serving_cells(&rows),
+            &serving_cells(&serving::sweep(true)),
+            tol,
+            &mut report,
+        ),
         Err(e) => report.failures.push(format!("serving baseline: {e}")),
     }
 
-    match load_rows(&dir.join("BENCH_net.json")).and_then(|rows| {
-        committed_map(
-            &rows,
-            |row| {
-                if field_str(row, "cell")? != "grid" {
-                    return Ok(None);
-                }
-                Ok(Some(format!(
-                    "clients={},mode={},models={}",
-                    field_u64(row, "clients")?,
-                    field_str(row, "mode")?,
-                    field_u64(row, "models")?
-                )))
-            },
-            qps_p99,
-        )
-    }) {
-        Ok(committed) => compare(
+    match read_rows(&dir.join("BENCH_net.json")) {
+        Ok(rows) => compare(
             "serving-net",
-            &committed,
-            &serving_net_fresh(),
+            &serving_net_cells(&rows),
+            &serving_net_cells(&serving_net::sweep(true)),
             tol,
             &mut report,
         ),
         Err(e) => report.failures.push(format!("serving-net baseline: {e}")),
     }
 
-    match load_rows(&dir.join("BENCH_sparse_path.json")) {
+    match read_rows::<sparse_scaling::Row>(&dir.join("BENCH_sparse_path.json")) {
         Ok(rows) => {
-            match committed_map(
-                &rows,
-                |row| {
-                    Ok(Some(sparse_key(
-                        field_u64(row, "d")?,
-                        &field_str(row, "path")?,
-                        &field_str(row, "store")?,
-                        field_u64(row, "threads")?,
-                    )))
-                },
-                |row| {
-                    Ok(Baseline {
-                        qps: field_f64(row, "iters_per_sec")?,
-                        p99_ns: 0,
-                    })
-                },
-            ) {
-                Ok(committed) => {
-                    compare("sparse-path", &committed, &sparse_fresh(), tol, &mut report);
-                }
-                Err(e) => report.failures.push(format!("sparse-path baseline: {e}")),
-            }
+            let fresh = sparse_scaling::sweep_cells(
+                SPARSE_GATE_DIMS,
+                SPARSE_GATE_THREADS,
+                SPARSE_GATE_ITERATIONS,
+            );
+            compare(
+                "sparse-path",
+                &sparse_cells(&rows),
+                &sparse_cells(&fresh),
+                tol,
+                &mut report,
+            );
             sharded_store_gate(&rows, tol, &mut report);
         }
         Err(e) => report.failures.push(format!("sparse-path baseline: {e}")),
@@ -808,16 +731,22 @@ mod tests {
         }
     }
 
-    fn store_row(d: u64, threads: u64, path: &str, store: &str, ips: f64) -> Value {
-        Value::obj([
-            ("d", Value::U64(d)),
-            ("threads", Value::U64(threads)),
-            ("path", Value::Str(path.to_string())),
-            ("store", Value::Str(store.to_string())),
-            ("iterations", Value::U64(20_000)),
-            ("wall_time_secs", Value::f64(0.1)),
-            ("iters_per_sec", Value::f64(ips)),
-        ])
+    fn store_row(
+        d: usize,
+        threads: usize,
+        path: &str,
+        store: &str,
+        ips: f64,
+    ) -> sparse_scaling::Row {
+        sparse_scaling::Row {
+            d,
+            threads,
+            path: path.to_string(),
+            store: store.to_string(),
+            iterations: 20_000,
+            wall_time_secs: 0.1,
+            iters_per_sec: ips,
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! directory — the committed continual-learning artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
+use asgd_driver::json::{Json, Value};
 use asgd_driver::{BackendKind, RunSpec};
 use asgd_ingest::{heterogeneous_fleet, DriftSpec, IngestReport, IngestSpec};
 use asgd_metrics::table::fmt_f;
@@ -106,7 +106,7 @@ pub fn to_json(rows: &[IngestReport]) -> Value {
         ("transport", Value::Str("tcp-loopback".to_string())),
         (
             "rows",
-            Value::Arr(rows.iter().map(IngestReport::to_value).collect()),
+            Value::Arr(rows.iter().map(Json::to_value).collect()),
         ),
     ])
 }

@@ -14,8 +14,8 @@
 //! directory — the committed serving-telemetry artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, RunSpec};
+use asgd_driver::json::{Json, Value};
+use asgd_driver::{json_record, BackendKind, RunSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
 use asgd_oracle::OracleSpec;
@@ -27,7 +27,7 @@ pub struct Row {
     /// Concurrent closed-loop clients.
     pub clients: usize,
     /// `"live"` or `"snapshot"`.
-    pub mode: &'static str,
+    pub mode: String,
     /// Trainer threads underneath.
     pub trainer_threads: usize,
     /// Queries answered in the window.
@@ -49,6 +49,21 @@ pub struct Row {
     /// Training throughput sustained under serving load (iters/s).
     pub train_iters_per_sec: f64,
 }
+
+json_record!(Row {
+    clients,
+    mode,
+    trainer_threads,
+    queries,
+    qps,
+    p50_ns,
+    p99_ns,
+    p999_ns,
+    staleness_mean,
+    staleness_max,
+    train_iterations,
+    train_iters_per_sec
+});
 
 /// Model dimension of the sweep (big enough that a coherent copy is real
 /// work, small enough for CI smoke runs).
@@ -95,7 +110,7 @@ pub fn sweep(quick: bool) -> Vec<Row> {
                     .expect("serving sweep cell runs");
                 rows.push(Row {
                     clients,
-                    mode: mode.label(),
+                    mode: mode.label().to_string(),
                     trainer_threads: threads,
                     queries: report.queries,
                     qps: report.qps,
@@ -126,26 +141,7 @@ pub fn to_json(rows: &[Row]) -> Value {
         ("arrival", Value::Str("closed-loop".to_string())),
         (
             "rows",
-            Value::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("clients", Value::U64(r.clients as u64)),
-                            ("mode", Value::Str(r.mode.to_string())),
-                            ("trainer_threads", Value::U64(r.trainer_threads as u64)),
-                            ("queries", Value::U64(r.queries)),
-                            ("qps", Value::f64(r.qps)),
-                            ("p50_ns", Value::U64(r.p50_ns)),
-                            ("p99_ns", Value::U64(r.p99_ns)),
-                            ("p999_ns", Value::U64(r.p999_ns)),
-                            ("staleness_mean", Value::f64(r.staleness_mean)),
-                            ("staleness_max", Value::U64(r.staleness_max)),
-                            ("train_iterations", Value::U64(r.train_iterations)),
-                            ("train_iters_per_sec", Value::f64(r.train_iters_per_sec)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Arr(rows.iter().map(Json::to_value).collect()),
         ),
     ])
 }
@@ -175,7 +171,7 @@ pub fn run(quick: bool) -> ExperimentOutput {
     for r in &rows {
         table.row(&[
             r.clients.to_string(),
-            r.mode.to_string(),
+            r.mode.clone(),
             r.trainer_threads.to_string(),
             r.queries.to_string(),
             fmt_f(r.qps),

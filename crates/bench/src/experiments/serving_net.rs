@@ -16,8 +16,8 @@
 //! directory — the committed wire-serving artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, RunSpec};
+use asgd_driver::json::{Json, Value};
+use asgd_driver::{json_record, BackendKind, RunSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
 use asgd_net::{
@@ -49,19 +49,19 @@ pub struct Row {
     /// at a fixed rate past capacity, mixed priorities, SLO shedding on)
     /// or `"overload-unshed"` (identical traffic, shedding off — the
     /// uncontrolled baseline the shed cell is read against).
-    pub cell: &'static str,
+    pub cell: String,
     /// Model dimension hosted by the cell.
     pub dim: usize,
     /// Concurrent client connections.
     pub clients: usize,
     /// `"live"` or `"snapshot"` (every model in the cell).
-    pub mode: &'static str,
+    pub mode: String,
     /// Hosted models in the registry (clients round-robin across them).
     pub models: usize,
     /// Arrival label (`closed-loop` / `rate:QPS` per client).
     pub arrival: String,
     /// Op label.
-    pub op: &'static str,
+    pub op: String,
     /// Requests put on the wire.
     pub sent: u64,
     /// Requests answered with a value.
@@ -85,6 +85,26 @@ pub struct Row {
     /// governs — client-side latency additionally pays queueing.
     pub server_p99_ns: u64,
 }
+
+json_record!(Row {
+    cell,
+    dim,
+    clients,
+    mode,
+    models,
+    arrival,
+    op,
+    sent,
+    answered,
+    shed,
+    errors,
+    qps,
+    p50_ns,
+    p99_ns,
+    high_p99_ns,
+    slo_ns,
+    server_p99_ns
+});
 
 /// Builds a registry hosting `models` training runs (one trainer thread
 /// each — cells must not oversubscribe the measurement machine more than
@@ -110,7 +130,7 @@ fn build_registry(dim: usize, models: usize, mode: ReadMode) -> Arc<ModelRegistr
 
 /// Runs one cell: fresh registry, fresh server, one socket workload.
 fn run_cell(
-    cell: &'static str,
+    cell: &str,
     dim: usize,
     clients: usize,
     mode: ReadMode,
@@ -133,13 +153,13 @@ fn run_cell(
         .find(|c| c.answered > 0)
         .map_or(0, |c| c.latency.p99_ns);
     Row {
-        cell,
+        cell: cell.to_string(),
         dim,
         clients,
-        mode: mode.label(),
+        mode: mode.label().to_string(),
         models,
         arrival: report.arrival.clone(),
-        op: spec.op.label(),
+        op: spec.op.label().to_string(),
         sent: report.sent,
         answered: report.answered,
         shed: report.shed,
@@ -272,31 +292,7 @@ pub fn to_json(rows: &[Row]) -> Value {
         ("transport", Value::Str("tcp-loopback".to_string())),
         (
             "rows",
-            Value::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("cell", Value::Str(r.cell.to_string())),
-                            ("dim", Value::U64(r.dim as u64)),
-                            ("clients", Value::U64(r.clients as u64)),
-                            ("mode", Value::Str(r.mode.to_string())),
-                            ("models", Value::U64(r.models as u64)),
-                            ("arrival", Value::Str(r.arrival.clone())),
-                            ("op", Value::Str(r.op.to_string())),
-                            ("sent", Value::U64(r.sent)),
-                            ("answered", Value::U64(r.answered)),
-                            ("shed", Value::U64(r.shed)),
-                            ("errors", Value::U64(r.errors)),
-                            ("qps", Value::f64(r.qps)),
-                            ("p50_ns", Value::U64(r.p50_ns)),
-                            ("p99_ns", Value::U64(r.p99_ns)),
-                            ("high_p99_ns", Value::U64(r.high_p99_ns)),
-                            ("slo_ns", Value::U64(r.slo_ns)),
-                            ("server_p99_ns", Value::U64(r.server_p99_ns)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Arr(rows.iter().map(Json::to_value).collect()),
         ),
     ])
 }
@@ -316,13 +312,13 @@ pub fn run(quick: bool) -> ExperimentOutput {
     );
     for r in &rows {
         table.row(&[
-            r.cell.to_string(),
+            r.cell.clone(),
             r.dim.to_string(),
             r.clients.to_string(),
-            r.mode.to_string(),
+            r.mode.clone(),
             r.models.to_string(),
             r.arrival.clone(),
-            r.op.to_string(),
+            r.op.clone(),
             r.sent.to_string(),
             r.answered.to_string(),
             r.shed.to_string(),

@@ -19,8 +19,8 @@
 //! directory — the workspace's perf trajectory artifact.
 
 use crate::ExperimentOutput;
-use asgd_driver::json::Value;
-use asgd_driver::{BackendKind, Driver, PinSpec, RunSpec, ShardsSpec, SparsePathSpec};
+use asgd_driver::json::{Json, Value};
+use asgd_driver::{json_record, BackendKind, Driver, PinSpec, RunSpec, ShardsSpec, SparsePathSpec};
 use asgd_metrics::table::fmt_f;
 use asgd_metrics::Table;
 use asgd_oracle::OracleSpec;
@@ -33,17 +33,27 @@ pub struct Row {
     /// Worker threads.
     pub threads: usize,
     /// `"dense"` or `"sparse"`.
-    pub path: &'static str,
+    pub path: String,
     /// `"flat"` (one shard, the default) or `"sharded"` (`auto` shards) —
     /// how the parameter store was split.
-    pub store: &'static str,
+    pub store: String,
     /// Iteration budget (identical across paths).
     pub iterations: u64,
     /// Wall-clock seconds of the parallel section.
-    pub wall_secs: f64,
+    pub wall_time_secs: f64,
     /// Iterations per second.
     pub iters_per_sec: f64,
 }
+
+json_record!(Row {
+    d,
+    threads,
+    path,
+    store,
+    iterations,
+    wall_time_secs,
+    iters_per_sec
+});
 
 fn cell_spec(
     d: usize,
@@ -75,13 +85,15 @@ fn row_from(spec: &RunSpec, report: &asgd_driver::RunReport) -> Row {
             "sparse"
         } else {
             "dense"
-        },
+        }
+        .to_string(),
         store: match spec.shards {
             ShardsSpec::Auto => "sharded",
             ShardsSpec::Fixed(_) => "flat",
-        },
+        }
+        .to_string(),
         iterations: spec.iterations,
-        wall_secs: report.wall_time_secs,
+        wall_time_secs: report.wall_time_secs,
         iters_per_sec: report.iterations_per_sec(),
     }
 }
@@ -196,21 +208,7 @@ pub fn to_json(rows: &[Row]) -> Value {
         ("oracle", Value::Str("sparse-quadratic".to_string())),
         (
             "rows",
-            Value::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Value::obj([
-                            ("d", Value::U64(r.d as u64)),
-                            ("threads", Value::U64(r.threads as u64)),
-                            ("path", Value::Str(r.path.to_string())),
-                            ("store", Value::Str(r.store.to_string())),
-                            ("iterations", Value::U64(r.iterations)),
-                            ("wall_time_secs", Value::f64(r.wall_secs)),
-                            ("iters_per_sec", Value::f64(r.iters_per_sec)),
-                        ])
-                    })
-                    .collect(),
-            ),
+            Value::Arr(rows.iter().map(Json::to_value).collect()),
         ),
     ])
 }
@@ -238,9 +236,9 @@ pub fn run(quick: bool) -> ExperimentOutput {
         table.row(&[
             r.d.to_string(),
             r.threads.to_string(),
-            r.path.to_string(),
-            r.store.to_string(),
-            format!("{:.4}", r.wall_secs),
+            r.path.clone(),
+            r.store.clone(),
+            format!("{:.4}", r.wall_time_secs),
             fmt_f(r.iters_per_sec),
         ]);
     }
@@ -281,7 +279,7 @@ mod tests {
         assert!(rows.iter().any(|r| r.path == "dense"));
         for r in &rows {
             assert_eq!(r.store, "flat");
-            assert!(r.wall_secs >= 0.0);
+            assert!(r.wall_time_secs >= 0.0);
             assert!(r.iters_per_sec > 0.0, "{r:?}");
         }
         let json = to_json(&rows).to_json();

@@ -1,11 +1,21 @@
-//! Minimal JSON codec used by the driver's report serialisation.
+//! Minimal JSON codec behind every report the workspace writes.
 //!
 //! The build environment has no crates.io access, so `serde_json` is not
-//! available; this module implements the small, exact subset the driver
-//! needs: a [`Value`] tree, a writer, and a recursive-descent parser.
-//! Integers round-trip exactly (`u64`/`i64` are kept apart from `f64`),
-//! which matters for execution fingerprints. Non-finite floats serialise as
-//! `null`, as JSON has no representation for them.
+//! available; this module implements the small, exact subset the reports
+//! need: a [`Value`] tree, a writer, a recursive-descent parser, and the
+//! [`Json`] trait that maps Rust values onto the tree. Report structs derive
+//! their codec from their field list with [`json_record!`](crate::json_record),
+//! so each schema is stated once. The rules, for every record:
+//!
+//! * Integers round-trip exactly (`u64`/`i64` are kept apart from `f64`),
+//!   which matters for execution fingerprints; finite floats round-trip
+//!   bit-exactly through Rust's shortest formatting.
+//! * Non-finite floats serialise as `null`, as JSON has no representation
+//!   for them; a required `f64` (or `Vec<f64>` element) decodes `null` back
+//!   as `NaN`, so the report of a diverged run stays readable.
+//! * An `Option` field that is absent or `null` decodes to `None`; one that
+//!   is present but mistyped is an error. Every other field is required.
+//! * Decode errors name the innermost offending field.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -46,12 +56,6 @@ impl Value {
         } else {
             Self::Null
         }
-    }
-
-    /// An optional value (`null` when `None`).
-    #[must_use]
-    pub fn opt(v: Option<Value>) -> Self {
-        v.unwrap_or(Self::Null)
     }
 
     /// Member lookup on objects.
@@ -475,6 +479,256 @@ impl Parser<'_> {
     }
 }
 
+/// Error decoding a report from JSON.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DecodeError {
+    /// The text is not valid JSON.
+    Parse(ParseError),
+    /// A field is missing or has the wrong type.
+    Field {
+        /// Field name (empty until a record attributes a leaf error).
+        field: &'static str,
+        /// What was expected.
+        expected: &'static str,
+    },
+}
+
+impl DecodeError {
+    /// A missing or mistyped `field`.
+    pub(crate) fn field(field: &'static str, expected: &'static str) -> Self {
+        Self::Field { field, expected }
+    }
+
+    /// Attributes a leaf error to `name`; an error that already names an
+    /// inner field keeps it.
+    fn within(self, name: &'static str) -> Self {
+        match self {
+            Self::Field {
+                field: "",
+                expected,
+            } => Self::field(name, expected),
+            e => e,
+        }
+    }
+}
+
+impl std::fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Self::Parse(e) => e.fmt(f),
+            Self::Field { field, expected } => {
+                write!(f, "report field `{field}`: {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+impl From<ParseError> for DecodeError {
+    fn from(e: ParseError) -> Self {
+        Self::Parse(e)
+    }
+}
+
+/// A type with a JSON encoding. Records implement it through
+/// [`json_record!`](crate::json_record); options and vectors compose
+/// through it.
+pub trait Json: Sized {
+    /// Converts into the JSON value tree.
+    fn to_value(&self) -> Value;
+
+    /// Decodes from a JSON value tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
+    fn from_value(v: &Value) -> Result<Self, DecodeError>;
+
+    /// The value of an absent field, if absence is allowed (only for
+    /// `Option`).
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+fn mistyped(expected: &'static str) -> DecodeError {
+    DecodeError::field("", expected)
+}
+
+impl Json for u64 {
+    fn to_value(&self) -> Value {
+        Value::U64(*self)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        v.as_u64().ok_or_else(|| mistyped("expected integer"))
+    }
+}
+
+impl Json for usize {
+    fn to_value(&self) -> Value {
+        Value::U64(*self as u64)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        v.as_usize().ok_or_else(|| mistyped("expected integer"))
+    }
+}
+
+impl Json for f64 {
+    fn to_value(&self) -> Value {
+        Value::f64(*self)
+    }
+
+    /// Integers widen; `null` — the writer's spelling of inf/NaN — decodes
+    /// as `NaN`.
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        if v.is_null() {
+            return Ok(f64::NAN);
+        }
+        v.as_f64().ok_or_else(|| mistyped("expected number"))
+    }
+}
+
+impl Json for bool {
+    fn to_value(&self) -> Value {
+        Value::Bool(*self)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        v.as_bool().ok_or_else(|| mistyped("expected bool"))
+    }
+}
+
+impl Json for String {
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| mistyped("expected string"))
+    }
+}
+
+impl<T: Json> Json for Option<T> {
+    fn to_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, T::to_value)
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        if v.is_null() {
+            return Ok(None);
+        }
+        T::from_value(v).map(Some)
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(T::to_value).collect())
+    }
+
+    fn from_value(v: &Value) -> Result<Self, DecodeError> {
+        v.as_arr()
+            .ok_or_else(|| mistyped("expected array"))?
+            .iter()
+            .map(T::from_value)
+            .collect()
+    }
+}
+
+/// Decodes the member `name` of the object `v` (absent counts as `null`
+/// for `Option` fields, as missing for every other type). Errors name the
+/// innermost offending field.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::Field`] when the member is missing or mistyped.
+pub fn field<T: Json>(v: &Value, name: &'static str) -> Result<T, DecodeError> {
+    match v.get(name) {
+        Some(item) => T::from_value(item).map_err(|e| e.within(name)),
+        None => T::absent().ok_or(DecodeError::field(name, "missing")),
+    }
+}
+
+/// Implements [`Json`] for a struct from its field list — each field is
+/// keyed by its name — plus the inherent `to_json` / `to_json_pretty` /
+/// `from_json` every report carries.
+///
+/// Two optional clauses cover the reports that are more than their
+/// fields: `derived { key: f }` also writes `f(&record)` under `key` (a
+/// convenience the decoder ignores), and `check f` runs
+/// `f(&record) -> Result<(), DecodeError>` after decoding.
+///
+/// ```
+/// use asgd_driver::json_record;
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Cell {
+///     hits: u64,
+///     rate: Option<f64>,
+/// }
+/// json_record!(Cell { hits, rate });
+///
+/// let cell = Cell { hits: 3, rate: None };
+/// assert_eq!(cell.to_json(), r#"{"hits":3,"rate":null}"#);
+/// assert_eq!(Cell::from_json(r#"{"hits":3}"#).unwrap(), cell);
+/// ```
+#[macro_export]
+macro_rules! json_record {
+    ($ty:ident { $($field:ident),* $(,)? }
+     $(derived { $key:ident: $derive:expr })?
+     $(check $check:expr)?) => {
+        impl $crate::json::Json for $ty {
+            fn to_value(&self) -> $crate::json::Value {
+                $crate::json::Value::obj([
+                    $((stringify!($field), $crate::json::Json::to_value(&self.$field)),)*
+                    $((stringify!($key), $crate::json::Json::to_value(&$derive(self))),)?
+                ])
+            }
+
+            fn from_value(v: &$crate::json::Value) -> Result<Self, $crate::json::DecodeError> {
+                let record = Self {
+                    $($field: $crate::json::field(v, stringify!($field))?,)*
+                };
+                $($check(&record)?;)?
+                Ok(record)
+            }
+        }
+
+        impl $ty {
+            /// Serialises to compact JSON.
+            #[must_use]
+            pub fn to_json(&self) -> String {
+                $crate::json::Json::to_value(self).to_json()
+            }
+
+            /// Serialises to pretty-printed JSON.
+            #[must_use]
+            pub fn to_json_pretty(&self) -> String {
+                $crate::json::Json::to_value(self).to_json_pretty()
+            }
+
+            /// Parses back from JSON.
+            ///
+            /// # Errors
+            ///
+            /// Returns a `DecodeError` on malformed JSON or missing/mistyped
+            /// fields.
+            pub fn from_json(text: &str) -> Result<Self, $crate::json::DecodeError> {
+                <Self as $crate::json::Json>::from_value(&$crate::json::parse(text)?)
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -521,6 +775,57 @@ mod tests {
     fn non_finite_floats_become_null() {
         assert_eq!(Value::f64(f64::NAN), Value::Null);
         assert_eq!(Value::F64(f64::INFINITY).to_json(), "null");
+    }
+
+    #[derive(Debug, PartialEq)]
+    struct Probe {
+        count: usize,
+        rate: f64,
+        limit: Option<f64>,
+        xs: Vec<f64>,
+    }
+    crate::json_record!(Probe {
+        count,
+        rate,
+        limit,
+        xs
+    });
+
+    #[test]
+    fn records_follow_one_decode_rule() {
+        let probe = Probe {
+            count: 2,
+            rate: f64::INFINITY,
+            limit: None,
+            xs: vec![0.5, f64::NAN],
+        };
+        let text = probe.to_json();
+        assert_eq!(
+            text,
+            r#"{"count":2,"limit":null,"rate":null,"xs":[0.5,null]}"#
+        );
+        // Required floats decode the writer's `null` as NaN; options as None.
+        let back = Probe::from_json(&probe.to_json_pretty()).unwrap();
+        assert!(back.rate.is_nan() && back.xs[1].is_nan());
+        assert_eq!((back.limit, back.xs[0]), (None, 0.5));
+        // An absent option is None; an absent required field is an error.
+        let back = Probe::from_json(r#"{"count":1,"rate":1,"xs":[]}"#).unwrap();
+        assert_eq!(back.limit, None);
+        let err = Probe::from_json(r#"{"rate":1,"xs":[]}"#).unwrap_err();
+        assert_eq!(err, DecodeError::field("count", "missing"));
+        // A present-but-mistyped option, element or integer is an error
+        // naming its field.
+        for (bad, field) in [
+            (r#"{"count":1,"rate":1,"limit":"x","xs":[]}"#, "limit"),
+            (r#"{"count":1,"rate":1,"xs":[true]}"#, "xs"),
+            (r#"{"count":-1,"rate":1,"xs":[]}"#, "count"),
+        ] {
+            let err = Probe::from_json(bad).unwrap_err();
+            assert!(
+                matches!(err, DecodeError::Field { field: f, .. } if f == field),
+                "{err}"
+            );
+        }
     }
 
     #[test]

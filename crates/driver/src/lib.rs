@@ -74,7 +74,8 @@ pub mod validation;
 
 pub use backend::{backend, run_simulated_lockfree_detailed, run_spec, run_spec_session, Backend};
 pub use error::DriverError;
-pub use report::{ContentionSummary, DecodeError, RunReport, TrajectorySample};
+pub use json::DecodeError;
+pub use report::{ContentionSummary, RunReport, TrajectorySample};
 pub use session::{Driver, Progress, RunEvent, RunHandle, RunObserver, SessionCtx};
 pub use trace::TraceObserver;
 // Serving attachment types, re-exported so session consumers need only this

@@ -1,7 +1,5 @@
 //! [`RunReport`] — the unified outcome of a run on any backend.
 
-use crate::json::{self, Value};
-
 /// One strided trajectory sample: the observed squared distance to the
 /// optimum after `index` updates, with the wall-clock offset at which it was
 /// taken. Collected into [`RunReport::trajectory`] when the spec requests it
@@ -21,23 +19,11 @@ pub struct TrajectorySample {
     pub elapsed_secs: f64,
 }
 
-impl TrajectorySample {
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("index", Value::U64(self.index)),
-            ("dist_sq", Value::f64(self.dist_sq)),
-            ("elapsed_secs", Value::f64(self.elapsed_secs)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            index: field_u64(v, "index")?,
-            dist_sq: field_f64(v, "dist_sq")?,
-            elapsed_secs: field_f64(v, "elapsed_secs")?,
-        })
-    }
-}
+crate::json_record!(TrajectorySample {
+    index,
+    dist_sq,
+    elapsed_secs
+});
 
 /// Contention statistics of a simulated execution, summarised for reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,34 +58,17 @@ impl ContentionSummary {
             lemma_6_4_holds: report.lemma_6_4().holds,
         }
     }
-
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("iterations", Value::U64(self.iterations)),
-            ("incomplete", Value::U64(self.incomplete)),
-            ("tau_max", Value::U64(self.tau_max)),
-            ("tau_avg", Value::f64(self.tau_avg)),
-            ("staleness_max", Value::U64(self.staleness_max)),
-            (
-                "gibson_gramoli_holds",
-                Value::Bool(self.gibson_gramoli_holds),
-            ),
-            ("lemma_6_4_holds", Value::Bool(self.lemma_6_4_holds)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            iterations: field_u64(v, "iterations")?,
-            incomplete: field_u64(v, "incomplete")?,
-            tau_max: field_u64(v, "tau_max")?,
-            tau_avg: field_f64(v, "tau_avg")?,
-            staleness_max: field_u64(v, "staleness_max")?,
-            gibson_gramoli_holds: field_bool(v, "gibson_gramoli_holds")?,
-            lemma_6_4_holds: field_bool(v, "lemma_6_4_holds")?,
-        })
-    }
 }
+
+crate::json_record!(ContentionSummary {
+    iterations,
+    incomplete,
+    tau_max,
+    tau_avg,
+    staleness_max,
+    gibson_gramoli_holds,
+    lemma_6_4_holds
+});
 
 /// The unified outcome of executing a [`RunSpec`](crate::RunSpec): every
 /// backend produces this one shape, so experiments compare execution models
@@ -161,239 +130,28 @@ impl RunReport {
             self.iterations as f64 / self.wall_time_secs
         }
     }
-
-    /// Converts into the JSON value tree.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("backend", Value::Str(self.backend.clone())),
-            ("oracle", Value::Str(self.oracle.clone())),
-            ("threads", Value::U64(self.threads as u64)),
-            ("iterations", Value::U64(self.iterations)),
-            ("seed", Value::U64(self.seed)),
-            (
-                "hit_iteration",
-                Value::opt(self.hit_iteration.map(Value::U64)),
-            ),
-            ("min_dist_sq", Value::opt(self.min_dist_sq.map(Value::f64))),
-            ("final_dist_sq", Value::f64(self.final_dist_sq)),
-            (
-                "final_model",
-                Value::Arr(self.final_model.iter().map(|&v| Value::f64(v)).collect()),
-            ),
-            ("wall_time_secs", Value::f64(self.wall_time_secs)),
-            ("steps", Value::opt(self.steps.map(Value::U64))),
-            ("fingerprint", Value::opt(self.fingerprint.map(Value::U64))),
-            ("stop", Value::opt(self.stop.clone().map(Value::Str))),
-            (
-                "contention",
-                Value::opt(self.contention.as_ref().map(ContentionSummary::to_value)),
-            ),
-            (
-                "stale_rejected",
-                Value::opt(self.stale_rejected.map(Value::U64)),
-            ),
-            ("sparse_path", Value::opt(self.sparse_path.map(Value::Bool))),
-            ("shards", Value::opt(self.shards.map(Value::U64))),
-            (
-                "trajectory",
-                Value::opt(self.trajectory.as_ref().map(|samples| {
-                    Value::Arr(samples.iter().map(TrajectorySample::to_value).collect())
-                })),
-            ),
-        ])
-    }
-
-    /// Serialises to compact JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    #[must_use]
-    pub fn to_json_pretty(&self) -> String {
-        self.to_value().to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed JSON or missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// Decodes from a JSON value tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            backend: field_str(v, "backend")?,
-            oracle: field_str(v, "oracle")?,
-            threads: field_u64(v, "threads")? as usize,
-            iterations: field_u64(v, "iterations")?,
-            seed: field_u64(v, "seed")?,
-            hit_iteration: opt_field(v, "hit_iteration", |f| f.as_u64().ok_or("expected integer"))?,
-            min_dist_sq: opt_field(v, "min_dist_sq", |f| f.as_f64().ok_or("expected number"))?,
-            final_dist_sq: field_f64(v, "final_dist_sq")?,
-            final_model: v
-                .get("final_model")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| DecodeError::field("final_model", "expected array"))?
-                .iter()
-                .map(|item| {
-                    item.as_f64()
-                        .ok_or_else(|| DecodeError::field("final_model", "expected numbers"))
-                })
-                .collect::<Result<_, _>>()?,
-            wall_time_secs: field_f64(v, "wall_time_secs")?,
-            steps: opt_field(v, "steps", |f| f.as_u64().ok_or("expected integer"))?,
-            fingerprint: opt_field(v, "fingerprint", |f| f.as_u64().ok_or("expected integer"))?,
-            stop: opt_field(v, "stop", |f| {
-                f.as_str().map(str::to_string).ok_or("expected string")
-            })?,
-            contention: opt_field(v, "contention", |f| {
-                ContentionSummary::from_value(f).map_err(|_| "invalid contention summary")
-            })?,
-            stale_rejected: opt_field(v, "stale_rejected", |f| {
-                f.as_u64().ok_or("expected integer")
-            })?,
-            sparse_path: opt_field(v, "sparse_path", |f| f.as_bool().ok_or("expected bool"))?,
-            shards: opt_field(v, "shards", |f| f.as_u64().ok_or("expected integer"))?,
-            trajectory: match v.get("trajectory") {
-                None => None,
-                Some(item) if item.is_null() => None,
-                Some(item) => Some(
-                    item.as_arr()
-                        .ok_or_else(|| DecodeError::field("trajectory", "expected array"))?
-                        .iter()
-                        .map(TrajectorySample::from_value)
-                        .collect::<Result<_, _>>()?,
-                ),
-            },
-        })
-    }
 }
 
-/// Error decoding a [`RunReport`] from JSON.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecodeError {
-    /// The text is not valid JSON.
-    Parse(json::ParseError),
-    /// A field is missing or has the wrong type.
-    Field {
-        /// Field name.
-        field: &'static str,
-        /// What was expected.
-        expected: &'static str,
-    },
-}
-
-impl DecodeError {
-    pub(crate) fn field(field: &'static str, expected: &'static str) -> Self {
-        Self::Field { field, expected }
-    }
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::Parse(e) => e.fmt(f),
-            Self::Field { field, expected } => {
-                write!(f, "report field `{field}`: {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-impl From<json::ParseError> for DecodeError {
-    fn from(e: json::ParseError) -> Self {
-        Self::Parse(e)
-    }
-}
-
-/// Required-field lookup for report codecs in the `asgd_driver::json`
-/// style. Public so downstream report types (e.g. `asgd-serve`'s
-/// `ServeReport`) decode with the same helpers and error shape.
-///
-/// # Errors
-///
-/// Returns [`DecodeError::Field`] when `name` is absent.
-pub fn field<'v>(v: &'v Value, name: &'static str) -> Result<&'v Value, DecodeError> {
-    v.get(name).ok_or(DecodeError::Field {
-        field: name,
-        expected: "missing",
-    })
-}
-
-/// Required `u64` field (see [`field`]).
-///
-/// # Errors
-///
-/// Returns [`DecodeError::Field`] when absent or not a non-negative
-/// integer.
-pub fn field_u64(v: &Value, name: &'static str) -> Result<u64, DecodeError> {
-    field(v, name)?
-        .as_u64()
-        .ok_or_else(|| DecodeError::field(name, "expected integer"))
-}
-
-/// Required `f64` field (integers widen; see [`field`]).
-///
-/// # Errors
-///
-/// Returns [`DecodeError::Field`] when absent or not a number.
-pub fn field_f64(v: &Value, name: &'static str) -> Result<f64, DecodeError> {
-    field(v, name)?
-        .as_f64()
-        .ok_or_else(|| DecodeError::field(name, "expected number"))
-}
-
-/// Required `bool` field (see [`field`]).
-///
-/// # Errors
-///
-/// Returns [`DecodeError::Field`] when absent or not a bool.
-pub fn field_bool(v: &Value, name: &'static str) -> Result<bool, DecodeError> {
-    field(v, name)?
-        .as_bool()
-        .ok_or_else(|| DecodeError::field(name, "expected bool"))
-}
-
-/// Required string field (see [`field`]).
-///
-/// # Errors
-///
-/// Returns [`DecodeError::Field`] when absent or not a string.
-pub fn field_str(v: &Value, name: &'static str) -> Result<String, DecodeError> {
-    field(v, name)?
-        .as_str()
-        .map(str::to_string)
-        .ok_or_else(|| DecodeError::field(name, "expected string"))
-}
-
-/// Optional field: absent or `null` decode to `None`; a present value must
-/// decode through `f`.
-pub(crate) fn opt_field<T>(
-    v: &Value,
-    name: &'static str,
-    f: impl FnOnce(&Value) -> Result<T, &'static str>,
-) -> Result<Option<T>, DecodeError> {
-    match v.get(name) {
-        None => Ok(None),
-        Some(item) if item.is_null() => Ok(None),
-        Some(item) => f(item).map(Some).map_err(|expected| DecodeError::Field {
-            field: name,
-            expected,
-        }),
-    }
-}
+crate::json_record!(RunReport {
+    backend,
+    oracle,
+    threads,
+    iterations,
+    seed,
+    hit_iteration,
+    min_dist_sq,
+    final_dist_sq,
+    final_model,
+    wall_time_secs,
+    steps,
+    fingerprint,
+    stop,
+    contention,
+    stale_rejected,
+    sparse_path,
+    shards,
+    trajectory
+});
 
 #[cfg(test)]
 mod tests {

@@ -65,8 +65,7 @@
 //! ```
 
 use crate::error::DriverError;
-use crate::json::{self, Value};
-use crate::report::{field_bool, field_f64, field_str, field_u64, opt_field, DecodeError};
+use crate::json::DecodeError;
 use crate::session::Driver;
 use crate::spec::{BackendKind, RunSpec, SchedulerSpec};
 use asgd_math::rng::SeedSequence;
@@ -402,62 +401,37 @@ impl ValidationCell {
         }
     }
 
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("backend", Value::Str(self.backend.clone())),
-            ("criterion", Value::Str(self.criterion.clone())),
-            ("threads", Value::U64(self.threads as u64)),
-            ("eps", Value::f64(self.eps)),
-            ("tau_max", Value::U64(self.tau_max)),
-            ("alpha", Value::f64(self.alpha)),
-            ("horizon", Value::U64(self.horizon)),
-            (
-                "halving_epochs",
-                Value::opt(self.halving_epochs.map(Value::U64)),
-            ),
-            ("total_iterations", Value::U64(self.total_iterations)),
-            ("trials", Value::U64(self.trials)),
-            ("failures", Value::U64(self.failures)),
-            ("measured", Value::f64(self.measured)),
-            ("ci_lower", Value::f64(self.ci_lower)),
-            ("ci_upper", Value::f64(self.ci_upper)),
-            ("bound", Value::f64(self.bound)),
-            (
-                "consistent_with_upper_bound",
-                Value::Bool(self.consistent_with_upper_bound),
-            ),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        let criterion = field_str(v, "criterion")?;
-        if ValidationCriterion::from_label(&criterion).is_none() {
-            return Err(DecodeError::field(
+    /// Rejects a `criterion` label no [`ValidationCriterion`] carries.
+    fn check_criterion(&self) -> Result<(), DecodeError> {
+        ValidationCriterion::from_label(&self.criterion)
+            .map(|_| ())
+            .ok_or(DecodeError::field(
                 "criterion",
                 "expected `hitting` or `terminal`",
-            ));
-        }
-        Ok(Self {
-            backend: field_str(v, "backend")?,
-            criterion,
-            threads: field_u64(v, "threads")? as usize,
-            eps: field_f64(v, "eps")?,
-            tau_max: field_u64(v, "tau_max")?,
-            alpha: field_f64(v, "alpha")?,
-            horizon: field_u64(v, "horizon")?,
-            halving_epochs: opt_field(v, "halving_epochs", |f| {
-                f.as_u64().ok_or("expected integer")
-            })?,
-            total_iterations: field_u64(v, "total_iterations")?,
-            trials: field_u64(v, "trials")?,
-            failures: field_u64(v, "failures")?,
-            measured: field_f64(v, "measured")?,
-            ci_lower: field_f64(v, "ci_lower")?,
-            ci_upper: field_f64(v, "ci_upper")?,
-            bound: field_f64(v, "bound")?,
-            consistent_with_upper_bound: field_bool(v, "consistent_with_upper_bound")?,
-        })
+            ))
     }
+}
+
+crate::json_record! {
+    ValidationCell {
+        backend,
+        criterion,
+        threads,
+        eps,
+        tau_max,
+        alpha,
+        horizon,
+        halving_epochs,
+        total_iterations,
+        trials,
+        failures,
+        measured,
+        ci_lower,
+        ci_upper,
+        bound,
+        consistent_with_upper_bound,
+    }
+    check ValidationCell::check_criterion
 }
 
 /// The outcome of [`validate`]: the full grid with per-cell verdicts.
@@ -494,75 +468,24 @@ impl ValidationReport {
     pub fn all_consistent(&self) -> bool {
         self.cells.iter().all(|c| c.consistent_with_upper_bound)
     }
+}
 
-    /// Converts into the JSON value tree.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("oracle", Value::Str(self.oracle.clone())),
-            ("dim", Value::U64(self.dim as u64)),
-            ("sigma", Value::f64(self.sigma)),
-            ("theta", Value::f64(self.theta)),
-            ("target", Value::f64(self.target)),
-            ("radius", Value::f64(self.radius)),
-            ("x0_dist_sq", Value::f64(self.x0_dist_sq)),
-            ("trials", Value::U64(self.trials)),
-            ("seed", Value::U64(self.seed)),
-            (
-                "cells",
-                Value::Arr(self.cells.iter().map(ValidationCell::to_value).collect()),
-            ),
-            ("all_consistent", Value::Bool(self.all_consistent())),
-        ])
+// `all_consistent` is written for readers of the artifact and recomputed
+// from the cells on read.
+crate::json_record! {
+    ValidationReport {
+        oracle,
+        dim,
+        sigma,
+        theta,
+        target,
+        radius,
+        x0_dist_sq,
+        trials,
+        seed,
+        cells,
     }
-
-    /// Serialises to compact JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    #[must_use]
-    pub fn to_json_pretty(&self) -> String {
-        self.to_value().to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed JSON or missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// Decodes from a JSON value tree. The redundant `all_consistent`
-    /// convenience field is ignored (it is recomputed from the cells).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            oracle: field_str(v, "oracle")?,
-            dim: field_u64(v, "dim")? as usize,
-            sigma: field_f64(v, "sigma")?,
-            theta: field_f64(v, "theta")?,
-            target: field_f64(v, "target")?,
-            radius: field_f64(v, "radius")?,
-            x0_dist_sq: field_f64(v, "x0_dist_sq")?,
-            trials: field_u64(v, "trials")?,
-            seed: field_u64(v, "seed")?,
-            cells: v
-                .get("cells")
-                .and_then(Value::as_arr)
-                .ok_or_else(|| DecodeError::field("cells", "expected array"))?
-                .iter()
-                .map(ValidationCell::from_value)
-                .collect::<Result<_, _>>()?,
-        })
-    }
+    derived { all_consistent: ValidationReport::all_consistent }
 }
 
 /// Derives the cell configuration from the theory crate — no run executes

@@ -1,13 +1,12 @@
 //! The ingest experiment report: what the fleet sent, what the queue did
 //! with it, and how fast the trainer recovered from drift.
 //!
-//! Serializes through the driver's dependency-free JSON codec with an
-//! exact round-trip (`to_json` → [`IngestReport::from_json`] → equal),
-//! matching the repo-wide report convention so bench artifacts can be
-//! committed and re-checked.
+//! Serializes through [`asgd_driver::json_record!`] with an exact
+//! round-trip (`to_json` → [`IngestReport::from_json`] → equal), matching
+//! the repo-wide report convention so bench artifacts can be committed and
+//! re-checked.
 
-use asgd_driver::json::{self, Value};
-use asgd_driver::report::{field, field_f64, field_str, field_u64, DecodeError};
+use asgd_driver::json_record;
 
 /// The drift event as it actually happened (vs. the scheduled spec).
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +18,12 @@ pub struct DriftOutcome {
     /// Training iterations reflected when it fired.
     pub at_iteration: u64,
 }
+
+json_record!(DriftOutcome {
+    kind,
+    at_secs,
+    at_iteration
+});
 
 /// One ingest run, end to end: fleet → wire → queue → trainer → recovery.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,108 +71,32 @@ pub struct IngestReport {
     pub wall_time_secs: f64,
 }
 
-impl IngestReport {
-    /// The report as a JSON value.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("producers", Value::U64(self.producers as u64)),
-            ("policy", Value::Str(self.policy.clone())),
-            ("capacity", Value::U64(self.capacity as u64)),
-            ("observations_sent", Value::U64(self.observations_sent)),
-            ("send_failures", Value::U64(self.send_failures)),
-            ("pushed", Value::U64(self.pushed)),
-            ("consumed", Value::U64(self.consumed)),
-            ("dropped", Value::U64(self.dropped)),
-            ("rejected", Value::U64(self.rejected)),
-            ("starved", Value::U64(self.starved)),
-            ("lag_mean", Value::f64(self.lag_mean)),
-            ("lag_max", Value::U64(self.lag_max)),
-            (
-                "drift",
-                Value::opt(self.drift.as_ref().map(|d| {
-                    Value::obj([
-                        ("kind", Value::Str(d.kind.clone())),
-                        ("at_secs", Value::f64(d.at_secs)),
-                        ("at_iteration", Value::U64(d.at_iteration)),
-                    ])
-                })),
-            ),
-            ("baseline_dist_sq", Value::f64(self.baseline_dist_sq)),
-            ("drift_dist_sq", Value::f64(self.drift_dist_sq)),
-            (
-                "time_to_recover_secs",
-                Value::opt(self.time_to_recover_secs.map(Value::f64)),
-            ),
-            ("final_dist_sq", Value::f64(self.final_dist_sq)),
-            ("train_iterations", Value::U64(self.train_iterations)),
-            ("wall_time_secs", Value::f64(self.wall_time_secs)),
-        ])
-    }
-
-    /// Compact single-line JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Parses a report back from its JSON value.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError::Field`] on missing or mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        let drift = match field(v, "drift")? {
-            Value::Null => None,
-            d => Some(DriftOutcome {
-                kind: field_str(d, "kind")?,
-                at_secs: field_f64(d, "at_secs")?,
-                at_iteration: field_u64(d, "at_iteration")?,
-            }),
-        };
-        let ttr = match field(v, "time_to_recover_secs")? {
-            Value::Null => None,
-            t => Some(t.as_f64().ok_or(DecodeError::Field {
-                field: "time_to_recover_secs",
-                expected: "expected number",
-            })?),
-        };
-        Ok(Self {
-            producers: field_u64(v, "producers")? as usize,
-            policy: field_str(v, "policy")?,
-            capacity: field_u64(v, "capacity")? as usize,
-            observations_sent: field_u64(v, "observations_sent")?,
-            send_failures: field_u64(v, "send_failures")?,
-            pushed: field_u64(v, "pushed")?,
-            consumed: field_u64(v, "consumed")?,
-            dropped: field_u64(v, "dropped")?,
-            rejected: field_u64(v, "rejected")?,
-            starved: field_u64(v, "starved")?,
-            lag_mean: field_f64(v, "lag_mean")?,
-            lag_max: field_u64(v, "lag_max")?,
-            drift,
-            baseline_dist_sq: field_f64(v, "baseline_dist_sq")?,
-            drift_dist_sq: field_f64(v, "drift_dist_sq")?,
-            time_to_recover_secs: ttr,
-            final_dist_sq: field_f64(v, "final_dist_sq")?,
-            train_iterations: field_u64(v, "train_iterations")?,
-            wall_time_secs: field_f64(v, "wall_time_secs")?,
-        })
-    }
-
-    /// Parses a report from JSON text.
-    ///
-    /// # Errors
-    ///
-    /// [`DecodeError`] on malformed JSON or missing/mistyped fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
-    }
-}
+json_record!(IngestReport {
+    producers,
+    policy,
+    capacity,
+    observations_sent,
+    send_failures,
+    pushed,
+    consumed,
+    dropped,
+    rejected,
+    starved,
+    lag_mean,
+    lag_max,
+    drift,
+    baseline_dist_sq,
+    drift_dist_sq,
+    time_to_recover_secs,
+    final_dist_sq,
+    train_iterations,
+    wall_time_secs
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asgd_driver::json::{Json, Value};
 
     fn sample(drifted: bool) -> IngestReport {
         IngestReport {

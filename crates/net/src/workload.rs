@@ -21,9 +21,7 @@ use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use asgd_driver::json::{self, Value};
-use asgd_driver::report::{field, field_f64, field_str, field_u64};
-use asgd_driver::DecodeError;
+use asgd_driver::json_record;
 use asgd_math::rng::SeedSequence;
 use asgd_metrics::Histogram;
 use asgd_serve::{Arrival, LatencySummary};
@@ -270,31 +268,15 @@ pub struct ClassReport {
     pub latency: LatencySummary,
 }
 
-impl ClassReport {
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("priority", Value::Str(self.priority.clone())),
-            ("sent", Value::U64(self.sent)),
-            ("answered", Value::U64(self.answered)),
-            ("shed", Value::U64(self.shed)),
-            ("errors", Value::U64(self.errors)),
-            ("lost", Value::U64(self.lost)),
-            ("latency", self.latency.to_value()),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            priority: field_str(v, "priority")?,
-            sent: field_u64(v, "sent")?,
-            answered: field_u64(v, "answered")?,
-            shed: field_u64(v, "shed")?,
-            errors: field_u64(v, "errors")?,
-            lost: field_u64(v, "lost")?,
-            latency: LatencySummary::from_value(field(v, "latency")?)?,
-        })
-    }
-}
+json_record!(ClassReport {
+    priority,
+    sent,
+    answered,
+    shed,
+    errors,
+    lost,
+    latency
+});
 
 /// The outcome of one socket workload, with exact JSON round-trip.
 #[derive(Debug, Clone, PartialEq)]
@@ -327,84 +309,22 @@ pub struct NetReport {
     pub classes: Vec<ClassReport>,
 }
 
-impl NetReport {
-    /// Converts into the JSON value tree.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("clients", Value::U64(self.clients as u64)),
-            ("arrival", Value::Str(self.arrival.clone())),
-            ("op", Value::Str(self.op.clone())),
-            ("models", Value::U64(self.models as u64)),
-            ("duration_secs", Value::f64(self.duration_secs)),
-            ("sent", Value::U64(self.sent)),
-            ("answered", Value::U64(self.answered)),
-            ("shed", Value::U64(self.shed)),
-            ("errors", Value::U64(self.errors)),
-            ("lost", Value::U64(self.lost)),
-            ("qps", Value::f64(self.qps)),
-            ("latency", self.latency.to_value()),
-            (
-                "classes",
-                Value::Arr(self.classes.iter().map(ClassReport::to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Serialises to compact JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    #[must_use]
-    pub fn to_json_pretty(&self) -> String {
-        self.to_value().to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed JSON or missing/mistyped
-    /// fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// Decodes from a JSON value tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        let classes = field(v, "classes")?
-            .as_arr()
-            .ok_or(DecodeError::Field {
-                field: "classes",
-                expected: "expected array",
-            })?
-            .iter()
-            .map(ClassReport::from_value)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            clients: field_u64(v, "clients")? as usize,
-            arrival: field_str(v, "arrival")?,
-            op: field_str(v, "op")?,
-            models: field_u64(v, "models")? as usize,
-            duration_secs: field_f64(v, "duration_secs")?,
-            sent: field_u64(v, "sent")?,
-            answered: field_u64(v, "answered")?,
-            shed: field_u64(v, "shed")?,
-            errors: field_u64(v, "errors")?,
-            lost: field_u64(v, "lost")?,
-            qps: field_f64(v, "qps")?,
-            latency: LatencySummary::from_value(field(v, "latency")?)?,
-            classes,
-        })
-    }
-}
+// `classes` leads the list so it is decoded (and reported missing) first.
+json_record!(NetReport {
+    classes,
+    clients,
+    arrival,
+    op,
+    models,
+    duration_secs,
+    sent,
+    answered,
+    shed,
+    errors,
+    lost,
+    qps,
+    latency
+});
 
 /// Per-client tallies folded into the final report.
 struct ClientTally {

@@ -1,8 +1,8 @@
-//! [`ServeReport`] — the serving workload's outcome, with exact JSON.
+//! [`ServeReport`] — the serving workload's outcome, with exact JSON
+//! through [`asgd_driver::json_record!`].
 
-use asgd_driver::json::{self, Value};
-use asgd_driver::report::{field, field_f64, field_str, field_u64};
-use asgd_driver::{DecodeError, RunReport};
+use asgd_driver::json_record;
+use asgd_driver::RunReport;
 use asgd_metrics::Histogram;
 
 /// Latency telemetry of one serving run, in nanoseconds. Percentiles are
@@ -41,40 +41,17 @@ impl LatencySummary {
             max_ns: p.map_or(0, |p| p.max),
         }
     }
-
-    /// Converts into the JSON value tree (shared by every report type that
-    /// embeds a latency block — `ServeReport` here, `NetReport` in
-    /// `asgd-net`).
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("count", Value::U64(self.count)),
-            ("mean_ns", Value::f64(self.mean_ns)),
-            ("p50_ns", Value::U64(self.p50_ns)),
-            ("p90_ns", Value::U64(self.p90_ns)),
-            ("p99_ns", Value::U64(self.p99_ns)),
-            ("p999_ns", Value::U64(self.p999_ns)),
-            ("max_ns", Value::U64(self.max_ns)),
-        ])
-    }
-
-    /// Decodes from a JSON value tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            count: field_u64(v, "count")?,
-            mean_ns: field_f64(v, "mean_ns")?,
-            p50_ns: field_u64(v, "p50_ns")?,
-            p90_ns: field_u64(v, "p90_ns")?,
-            p99_ns: field_u64(v, "p99_ns")?,
-            p999_ns: field_u64(v, "p999_ns")?,
-            max_ns: field_u64(v, "max_ns")?,
-        })
-    }
 }
+
+json_record!(LatencySummary {
+    count,
+    mean_ns,
+    p50_ns,
+    p90_ns,
+    p99_ns,
+    p999_ns,
+    max_ns
+});
 
 /// Staleness telemetry of snapshot-mode queries: training iterations
 /// between each query's snapshot publication and the query itself.
@@ -106,32 +83,20 @@ impl StalenessSummary {
             max: p.max,
         })
     }
-
-    fn to_value(&self) -> Value {
-        Value::obj([
-            ("samples", Value::U64(self.samples)),
-            ("mean", Value::f64(self.mean)),
-            ("p50", Value::U64(self.p50)),
-            ("p99", Value::U64(self.p99)),
-            ("max", Value::U64(self.max)),
-        ])
-    }
-
-    fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            samples: field_u64(v, "samples")?,
-            mean: field_f64(v, "mean")?,
-            p50: field_u64(v, "p50")?,
-            p99: field_u64(v, "p99")?,
-            max: field_u64(v, "max")?,
-        })
-    }
 }
+
+json_record!(StalenessSummary {
+    samples,
+    mean,
+    p50,
+    p99,
+    max
+});
 
 /// The outcome of one serving workload: traffic shape, throughput, latency
 /// percentiles, staleness, and the (final or cancelled) training report
-/// underneath. Serialises to and from JSON exactly, in the
-/// `asgd_driver::json` style.
+/// underneath. Serialises to and from JSON exactly; the embedded latency
+/// block is the same [`LatencySummary`] record `asgd-net` reports.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Read mode label (`live` / `snapshot`).
@@ -162,77 +127,20 @@ pub struct ServeReport {
     pub train: RunReport,
 }
 
-impl ServeReport {
-    /// Converts into the JSON value tree.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::obj([
-            ("mode", Value::Str(self.mode.clone())),
-            ("query", Value::Str(self.query.clone())),
-            ("arrival", Value::Str(self.arrival.clone())),
-            ("clients", Value::U64(self.clients as u64)),
-            ("publish_stride", Value::U64(self.publish_stride)),
-            ("duration_secs", Value::f64(self.duration_secs)),
-            ("queries", Value::U64(self.queries)),
-            ("qps", Value::f64(self.qps)),
-            ("latency", self.latency.to_value()),
-            (
-                "staleness",
-                Value::opt(self.staleness.as_ref().map(StalenessSummary::to_value)),
-            ),
-            ("snapshots", Value::U64(self.snapshots)),
-            ("train", self.train.to_value()),
-        ])
-    }
-
-    /// Serialises to compact JSON.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        self.to_value().to_json()
-    }
-
-    /// Serialises to pretty-printed JSON.
-    #[must_use]
-    pub fn to_json_pretty(&self) -> String {
-        self.to_value().to_json_pretty()
-    }
-
-    /// Parses a report back from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed JSON or missing/mistyped
-    /// fields.
-    pub fn from_json(text: &str) -> Result<Self, DecodeError> {
-        Self::from_value(&json::parse(text)?)
-    }
-
-    /// Decodes from a JSON value tree.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError::Field`] on missing/mistyped fields.
-    pub fn from_value(v: &Value) -> Result<Self, DecodeError> {
-        Ok(Self {
-            mode: field_str(v, "mode")?,
-            query: field_str(v, "query")?,
-            arrival: field_str(v, "arrival")?,
-            clients: field_u64(v, "clients")? as usize,
-            publish_stride: field_u64(v, "publish_stride")?,
-            duration_secs: field_f64(v, "duration_secs")?,
-            queries: field_u64(v, "queries")?,
-            qps: field_f64(v, "qps")?,
-            latency: LatencySummary::from_value(field(v, "latency")?)?,
-            staleness: match v.get("staleness") {
-                None => None,
-                Some(item) if item.is_null() => None,
-                Some(item) => Some(StalenessSummary::from_value(item)?),
-            },
-            snapshots: field_u64(v, "snapshots")?,
-            train: RunReport::from_value(field(v, "train")?)?,
-        })
-    }
-}
+json_record!(ServeReport {
+    mode,
+    query,
+    arrival,
+    clients,
+    publish_stride,
+    duration_secs,
+    queries,
+    qps,
+    latency,
+    staleness,
+    snapshots,
+    train
+});
 
 #[cfg(test)]
 mod tests {

@@ -191,16 +191,27 @@ fn field_u64(line: &str, key: &str) -> Option<u64> {
     rest[..end].parse().ok()
 }
 
+/// Reads the string field `key`, inverting [`escape_into`] exactly.
 fn field_str(line: &str, key: &str) -> Option<String> {
     let at = line.find(&format!("\"{key}\":\""))? + key.len() + 4;
-    let rest = &line[at..];
-    // Names we emit never contain escaped quotes, but be robust to them.
     let mut out = String::new();
-    let mut chars = rest.chars();
+    let mut chars = line[at..].chars();
     while let Some(c) = chars.next() {
         match c {
             '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
+            '\\' => out.push(match chars.next()? {
+                c @ ('"' | '\\') => c,
+                'n' => '\n',
+                'r' => '\r',
+                't' => '\t',
+                'u' => {
+                    let rest = chars.as_str();
+                    let code = u32::from_str_radix(rest.get(..4)?, 16).ok()?;
+                    chars = rest[4..].chars();
+                    char::from_u32(code)?
+                }
+                _ => return None,
+            }),
             c => out.push(c),
         }
     }
@@ -210,6 +221,7 @@ fn field_str(line: &str, key: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn spans_are_jsonl_and_replayable() {
@@ -247,6 +259,35 @@ mod tests {
         sink.emit("m", "e", &[("v", FieldValue::F64(f64::INFINITY))]);
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         assert!(text.contains("\"v\":\"inf\""));
+    }
+
+    /// Strings biased towards what `escape_into` rewrites: control
+    /// characters, quotes and backslashes, plus any non-ASCII scalar.
+    fn text() -> impl Strategy<Value = String> {
+        let code = prop_oneof![
+            0_u32..0x20,
+            Just(u32::from('"')),
+            Just(u32::from('\\')),
+            0x20_u32..0x7f,
+            0x80_u32..0x11_0000,
+        ];
+        proptest::collection::vec(code, 0..16)
+            .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn replay_returns_emitted_names_unchanged(run in text(), event in text()) {
+            let (sink, buf) = TraceSink::in_memory();
+            sink.emit(&run, &event, &[("note", FieldValue::Str(event.clone()))]);
+            let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+            let spans = replay(&text).expect("replays");
+            prop_assert_eq!(spans.len(), 1);
+            prop_assert_eq!(&spans[0].run, &run);
+            prop_assert_eq!(&spans[0].event, &event);
+        }
     }
 
     #[test]

@@ -146,6 +146,30 @@ fn reports_survive_a_json_file_round_trip() {
 }
 
 #[test]
+fn a_diverged_run_decodes_with_nan_where_the_writer_wrote_null() {
+    // α = 5 is far outside the stable step-size region: the iterate
+    // overflows, and the report spells its non-finite floats `null`.
+    let spec = RunSpec::new(
+        OracleSpec::new("noisy-quadratic", 4),
+        BackendKind::Sequential,
+    )
+    .iterations(20_000)
+    .learning_rate(5.0);
+    let report = run_spec(&spec).unwrap();
+    let json = report.to_json();
+    assert!(json.contains("\"final_dist_sq\":null"), "{json}");
+    assert!(
+        json.contains("\"final_model\":[null,null,null,null]"),
+        "{json}"
+    );
+    let back = RunReport::from_json(&json).expect("a diverged report decodes");
+    assert!(back.final_dist_sq.is_nan());
+    assert!(back.final_model.iter().all(|v| v.is_nan()));
+    assert_eq!(back.iterations, report.iterations);
+    assert_eq!(back.to_json(), json, "re-encodes to the same bytes");
+}
+
+#[test]
 fn guarded_epoch_reports_guard_statistics() {
     let report = run_spec(
         &base_spec()
