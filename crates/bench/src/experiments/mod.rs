@@ -1,5 +1,5 @@
-//! One module per reproduced paper artifact. See DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded outcomes.
+//! One module per reproduced paper artifact; [`crate::experiment_ids`]
+//! is the index.
 
 pub mod c67;
 pub mod c71;

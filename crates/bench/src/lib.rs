@@ -1,11 +1,10 @@
-//! Experiment harness regenerating every paper-claim table, plus shared
-//! fixtures for the criterion benches.
+//! Experiment harness regenerating every paper-claim table, and the
+//! regression gates (`check`) of the `experiments` CLI.
 //!
 //! Each submodule of [`experiments`] reproduces one artifact of the paper
 //! (a theorem's bound-vs-measurement table, the Figure-1 grid, a §8
 //! discussion claim). Every experiment has two sizes: `quick` (seconds,
-//! used by tests and smoke runs) and full (the defaults the committed
-//! `EXPERIMENTS.md` numbers come from; run via
+//! used by tests and smoke runs) and full (the defaults; run via
 //! `cargo run -p asgd-bench --release --bin experiments -- all`).
 
 #![forbid(unsafe_code)]
@@ -55,7 +54,7 @@ impl ExperimentOutput {
     }
 }
 
-/// The registry of all experiments, in DESIGN.md order.
+/// The registry of all experiments, in the order `all` runs them.
 #[must_use]
 pub fn experiment_ids() -> Vec<&'static str> {
     vec![

@@ -1,5 +1,5 @@
-//! Experiment plumbing: repeated trials, probability estimation, histograms
-//! and table/CSV rendering.
+//! Experiment plumbing: repeated trials, probability estimation, exact
+//! order statistics and table/CSV rendering.
 //!
 //! The paper's guarantees are *probabilistic* (bounds on `P(F_T)`), so the
 //! experiment harness estimates failure probabilities over many independent
@@ -20,12 +20,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod histogram;
+pub mod quantile;
 pub mod queue;
 pub mod table;
 pub mod trials;
 
-pub use histogram::{Histogram, Percentiles};
+pub use quantile::nearest_rank;
 pub use queue::{QueueCounters, QueueStats};
 pub use table::Table;
 pub use trials::{estimate_probability, trial_stats, ProbabilityEstimate};

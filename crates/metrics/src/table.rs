@@ -1,8 +1,8 @@
 //! Fixed-width tables with CSV export.
 //!
 //! Every experiment prints one of these to stdout and (optionally) writes
-//! the same rows as CSV under a chosen directory, so EXPERIMENTS.md can
-//! reference regenerable artifacts.
+//! the same rows as CSV under a chosen directory, so every reported table
+//! is a regenerable artifact.
 
 use std::fmt::Write as _;
 use std::io;

@@ -23,7 +23,6 @@ use std::time::{Duration, Instant};
 
 use asgd_driver::json_record;
 use asgd_math::rng::SeedSequence;
-use asgd_metrics::Histogram;
 use asgd_serve::{Arrival, LatencySummary};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -334,7 +333,7 @@ struct ClientTally {
     shed: u64,
     errors: u64,
     lost: u64,
-    latency_ns: Histogram,
+    latency_ns: Vec<u64>,
 }
 
 impl ClientTally {
@@ -346,7 +345,7 @@ impl ClientTally {
             shed: 0,
             errors: 0,
             lost: 0,
-            latency_ns: Histogram::new(),
+            latency_ns: Vec::new(),
         }
     }
 
@@ -447,7 +446,6 @@ pub fn run_net_workload(
         .iter()
         .map(|&p| (p, ClientTally::new(p)))
         .collect();
-    let mut all_latency = Histogram::new();
     for tally in tallies {
         let tally = tally?;
         let slot = &mut per_class
@@ -460,12 +458,11 @@ pub fn run_net_workload(
         slot.shed += tally.shed;
         slot.errors += tally.errors;
         slot.lost += tally.lost;
-        slot.latency_ns.merge(&tally.latency_ns);
-        all_latency.merge(&tally.latency_ns);
+        slot.latency_ns.extend(tally.latency_ns);
     }
     let (mut sent, mut answered, mut shed, mut errors, mut lost) = (0, 0, 0, 0, 0);
     let classes: Vec<ClassReport> = per_class
-        .iter()
+        .iter_mut()
         .filter(|(_, t)| t.sent > 0)
         .map(|(p, t)| {
             sent += t.sent;
@@ -480,9 +477,14 @@ pub fn run_net_workload(
                 shed: t.shed,
                 errors: t.errors,
                 lost: t.lost,
-                latency: LatencySummary::from_histogram(&t.latency_ns),
+                latency: LatencySummary::from_samples(&mut t.latency_ns),
             }
         })
+        .collect();
+    let mut all_latency: Vec<u64> = per_class
+        .iter()
+        .flat_map(|(_, t)| &t.latency_ns)
+        .copied()
         .collect();
     Ok(NetReport {
         clients: spec.clients,
@@ -500,7 +502,7 @@ pub fn run_net_workload(
         } else {
             0.0
         },
-        latency: LatencySummary::from_histogram(&all_latency),
+        latency: LatencySummary::from_samples(&mut all_latency),
         classes,
     })
 }
@@ -693,6 +695,46 @@ mod tests {
             .to_json()
             .replace("\"classes\":", "\"classez\":");
         assert!(NetReport::from_json(&text).is_err());
+    }
+
+    #[test]
+    fn report_percentiles_agree_with_the_scraped_histogram_to_a_bucket() {
+        // The report's percentiles are exact order statistics `x`; the
+        // scrape's `quantile_le` uses the same rank rule and reports the
+        // bound of the telemetry bucket holding `x`: x ≤ le < x + x/16 + 1,
+        // exact below 32. Six samples in ten land in that exact range, so
+        // the median sits below 32 and the tail spans many octaves; the
+        // short prefixes are where a different rank rule would show.
+        let mut rng: StdRng = SeedSequence::new(16).child_rng(0);
+        let stream: Vec<u64> = (0..20_000)
+            .map(|_| match rng.gen_range(0..10) {
+                0..=5 => rng.gen_range(0..32),
+                _ => rng.next_u64() >> rng.gen_range(24..64u32),
+            })
+            .collect();
+        for n in [2, 3, 5, 10, 100, stream.len()] {
+            let mut samples = stream[..n].to_vec();
+            let hist = asgd_telemetry::TelemetryHistogram::default();
+            samples.iter().for_each(|&v| hist.record(v));
+            let scraped = hist.snapshot();
+            let exact = LatencySummary::from_samples(&mut samples);
+            for (q, x) in [
+                (0.5, exact.p50_ns),
+                (0.9, exact.p90_ns),
+                (0.99, exact.p99_ns),
+                (0.999, exact.p999_ns),
+                (1.0, exact.max_ns),
+            ] {
+                let le = scraped.quantile_le(q).unwrap();
+                assert!(x <= le && le < x + x / 16 + 1, "n={n} q={q}: x={x} le={le}");
+                if x < 32 {
+                    assert_eq!(le, x, "n={n} q={q}");
+                }
+            }
+            if n == stream.len() {
+                assert!(exact.p50_ns < 32 && exact.p90_ns >= 32);
+            }
+        }
     }
 
     #[test]

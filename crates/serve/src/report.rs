@@ -3,11 +3,13 @@
 
 use asgd_driver::json_record;
 use asgd_driver::RunReport;
-use asgd_metrics::Histogram;
+use asgd_metrics::nearest_rank;
 
 /// Latency telemetry of one serving run, in nanoseconds. Percentiles are
-/// exact observed values extracted from the merged per-client histograms
-/// (`0` everywhere when no query ran).
+/// nearest-rank order statistics of the raw per-query samples: the `q`
+/// percentile is the sample at rank `⌈q·n⌉` ([`nearest_rank`]), `max_ns` is
+/// the slowest sample and `mean_ns` the exact mean (`0` everywhere when no
+/// query ran).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencySummary {
     /// Queries measured.
@@ -27,20 +29,30 @@ pub struct LatencySummary {
 }
 
 impl LatencySummary {
-    /// Summarises a merged latency histogram.
+    /// Summarises raw latency samples, sorting them in place.
     #[must_use]
-    pub fn from_histogram(h: &Histogram) -> Self {
-        let p = h.percentiles();
+    pub fn from_samples(samples: &mut [u64]) -> Self {
+        samples.sort_unstable();
+        let q = |q| nearest_rank(samples, q).unwrap_or(0);
         Self {
-            count: h.total(),
-            mean_ns: h.mean().unwrap_or(0.0),
-            p50_ns: p.map_or(0, |p| p.p50),
-            p90_ns: p.map_or(0, |p| p.p90),
-            p99_ns: p.map_or(0, |p| p.p99),
-            p999_ns: p.map_or(0, |p| p.p999),
-            max_ns: p.map_or(0, |p| p.max),
+            count: samples.len() as u64,
+            mean_ns: mean(samples),
+            p50_ns: q(0.50),
+            p90_ns: q(0.90),
+            p99_ns: q(0.99),
+            p999_ns: q(0.999),
+            max_ns: q(1.0),
         }
     }
+}
+
+/// The exact mean of `samples` (`0` when empty); the sum is taken in
+/// `u128`, so it cannot overflow.
+fn mean(samples: &[u64]) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    samples.iter().map(|&v| u128::from(v)).sum::<u128>() as f64 / samples.len() as f64
 }
 
 json_record!(LatencySummary {
@@ -55,6 +67,8 @@ json_record!(LatencySummary {
 
 /// Staleness telemetry of snapshot-mode queries: training iterations
 /// between each query's snapshot publication and the query itself.
+/// Percentiles are nearest-rank order statistics of the raw samples, as in
+/// [`LatencySummary`]; `max` is the worst sample and `mean` the exact mean.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StalenessSummary {
     /// Queries that measured staleness (snapshot reads).
@@ -70,17 +84,18 @@ pub struct StalenessSummary {
 }
 
 impl StalenessSummary {
-    /// Summarises a merged staleness histogram (`None` when no
-    /// snapshot-mode query ran — e.g. live-mode workloads).
+    /// Summarises raw staleness samples, sorting them in place (`None`
+    /// when no snapshot-mode query ran — e.g. live-mode workloads).
     #[must_use]
-    pub fn from_histogram(h: &Histogram) -> Option<Self> {
-        let p = h.percentiles()?;
+    pub fn from_samples(samples: &mut [u64]) -> Option<Self> {
+        samples.sort_unstable();
+        let q = |q| nearest_rank(samples, q);
         Some(Self {
-            samples: h.total(),
-            mean: h.mean().unwrap_or(0.0),
-            p50: p.p50,
-            p99: p.p99,
-            max: p.max,
+            samples: samples.len() as u64,
+            mean: mean(samples),
+            p50: q(0.50)?,
+            p99: q(0.99)?,
+            max: q(1.0)?,
         })
     }
 }
@@ -233,15 +248,16 @@ mod tests {
     }
 
     #[test]
-    fn empty_histograms_summarise_to_zeros() {
-        let empty = Histogram::new();
-        let lat = LatencySummary::from_histogram(&empty);
+    fn empty_samples_summarise_to_zeros() {
+        let lat = LatencySummary::from_samples(&mut []);
         assert_eq!(lat.count, 0);
         assert_eq!(lat.p999_ns, 0);
         assert_eq!(lat.mean_ns, 0.0);
-        assert_eq!(StalenessSummary::from_histogram(&empty), None);
-        let one = Histogram::from_values(&[42]);
-        let s = StalenessSummary::from_histogram(&one).unwrap();
+        assert_eq!(StalenessSummary::from_samples(&mut []), None);
+        let s = StalenessSummary::from_samples(&mut [42]).unwrap();
         assert_eq!((s.samples, s.p50, s.max), (1, 42, 42));
+        let lat = LatencySummary::from_samples(&mut [30, 10, 20, 40]);
+        assert_eq!((lat.p50_ns, lat.p90_ns, lat.max_ns), (20, 40, 40));
+        assert_eq!(lat.mean_ns, 25.0);
     }
 }

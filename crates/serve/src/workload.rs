@@ -6,7 +6,6 @@ use crate::service::ModelService;
 use crate::spec::{Arrival, QueryKind, ReadMode, ServeSpec};
 use asgd_driver::ModelReader;
 use asgd_math::rng::SeedSequence;
-use asgd_metrics::Histogram;
 use asgd_oracle::GradientOracle;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -175,9 +174,8 @@ impl QueryClient {
 
 /// Per-client telemetry folded into the final [`ServeReport`].
 struct ClientStats {
-    latency_ns: Histogram,
-    staleness: Histogram,
-    queries: u64,
+    latency_ns: Vec<u64>,
+    staleness: Vec<u64>,
 }
 
 /// Drives `spec.clients` concurrent clients against `service` for the
@@ -214,9 +212,8 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
                 };
                 scope.spawn(move || {
                     let mut stats = ClientStats {
-                        latency_ns: Histogram::new(),
-                        staleness: Histogram::new(),
-                        queries: 0,
+                        latency_ns: Vec::new(),
+                        staleness: Vec::new(),
                     };
                     let mut next_tick = Instant::now();
                     loop {
@@ -242,7 +239,6 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
                         if let Some(staleness) = outcome.staleness {
                             stats.staleness.push(staleness);
                         }
-                        stats.queries += 1;
                         // Keep the computed value observable in release
                         // builds: without this, snapshot-mode scoring
                         // (plain Vec reads, no side effects) could be
@@ -260,14 +256,9 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
     let served_secs = started.elapsed().as_secs_f64();
     let train = service.stop()?;
 
-    let mut latency_ns = Histogram::new();
-    let mut staleness = Histogram::new();
-    let mut queries = 0;
-    for s in &stats {
-        latency_ns.merge(&s.latency_ns);
-        staleness.merge(&s.staleness);
-        queries += s.queries;
-    }
+    let mut latency_ns: Vec<u64> = stats.iter().flat_map(|s| &s.latency_ns).copied().collect();
+    let mut staleness: Vec<u64> = stats.iter().flat_map(|s| &s.staleness).copied().collect();
+    let queries = latency_ns.len() as u64;
     Ok(ServeReport {
         mode: spec.mode.label().to_string(),
         query: spec.query.label().to_string(),
@@ -284,8 +275,8 @@ pub fn run_workload(service: &ModelService, spec: &ServeSpec) -> Result<ServeRep
         } else {
             f64::INFINITY
         },
-        latency: LatencySummary::from_histogram(&latency_ns),
-        staleness: StalenessSummary::from_histogram(&staleness),
+        latency: LatencySummary::from_samples(&mut latency_ns),
+        staleness: StalenessSummary::from_samples(&mut staleness),
         snapshots: service.reader().snapshot_version(),
         train,
     })

@@ -7,8 +7,8 @@
 //! ```
 
 use asyncsgd::core::runner::LockFreeSgd;
-use asyncsgd::metrics::Histogram;
 use asyncsgd::prelude::*;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn audit(name: &str, scheduler: Box<dyn Scheduler>, n: usize) {
@@ -42,9 +42,16 @@ fn audit(name: &str, scheduler: Box<dyn Scheduler>, n: usize) {
         "Lemma 6.4: max_t Σ 1{{τ_t+m ≥ m}} = {} ≤ 2√(τ_max·n) = {:.2}: {}",
         a64.max_sum, a64.bound, a64.holds
     );
-    let hist: Histogram = c.rho_values().iter().copied().collect();
+    let mut counts = BTreeMap::new();
+    for &rho in c.rho_values() {
+        *counts.entry(rho).or_insert(0_u64) += 1;
+    }
+    let widest = counts.values().copied().max().unwrap_or(1);
     println!("interval-contention histogram (ρ(θ)):");
-    print!("{}", hist.render(40));
+    for (rho, n) in counts {
+        let bar = "#".repeat((n * 40).div_ceil(widest) as usize);
+        println!("{rho:>8} | {bar:<40} {n}");
+    }
     println!();
 }
 

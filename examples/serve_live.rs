@@ -11,6 +11,7 @@
 //! then cancels the training run cleanly and verifies the last snapshot
 //! matches the cancelled run's final state.
 
+use asyncsgd::metrics::nearest_rank;
 use asyncsgd::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -44,9 +45,9 @@ fn main() {
     );
 
     let stop = AtomicBool::new(false);
-    // Clients push latencies into per-tick shared histograms; the main
-    // thread drains and prints them once per tick.
-    let latencies: Mutex<asyncsgd::metrics::Histogram> = Mutex::new(Default::default());
+    // Clients push latencies into a per-tick shared buffer; the main
+    // thread drains and prints it once per tick.
+    let latencies: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for i in 0..CLIENTS {
             let mut client = QueryClient::new(&service, &serve, 0xBEEF + i as u64);
@@ -65,13 +66,14 @@ fn main() {
 
         for tick in 1..=TICKS {
             std::thread::sleep(Duration::from_millis(200));
-            let window = std::mem::take(&mut *latencies.lock().unwrap());
-            let p99_us = window.percentiles().map_or(0.0, |p| p.p99 as f64 / 1e3);
+            let mut window = std::mem::take(&mut *latencies.lock().unwrap());
+            window.sort_unstable();
+            let p99_us = nearest_rank(&window, 0.99).map_or(0.0, |p99| p99 as f64 / 1e3);
             println!(
                 "tick {tick}: {q} queries ({qps:.0}/s), p99 {p99_us:.1} µs, staleness {stale} \
                  iters, trained {iters} iters",
-                q = window.total(),
-                qps = window.total() as f64 / 0.2,
+                q = window.len(),
+                qps = window.len() as f64 / 0.2,
                 stale = service.staleness().unwrap_or(0),
                 iters = service.reader().iterations(),
             );

@@ -24,7 +24,7 @@
 //! | [`net`] | `asgd-net` | the network tier: length-prefixed wire protocol over TCP (v2: submit-observe streaming opcode), thread-per-connection server with admission control and SLO load shedding, blocking + retrying clients, seeded fault injection, open-loop socket workloads |
 //! | [`ingest`] | `asgd-ingest` | continual learning from the live stream: producer fleets pushing labeled observations through the wire into bounded ingress queues, scheduled ground-truth drift, and time-to-recover measurement |
 //! | [`chaos`] | `asgd-chaos` | adversarial robustness: bounded-preemption model checking of the workspace's own concurrent protocols (snapshot seqlock, atomic CAS loop, registry lifecycle, ingress queue) with replayable counterexample traces, plus the zero-wrong-answers net fault campaign |
-//! | [`metrics`] | `asgd-metrics` | trial harness, tables, histograms |
+//! | [`metrics`] | `asgd-metrics` | trial harness, tables, exact order statistics |
 //!
 //! # Quickstart: the unified driver
 //!
