@@ -19,6 +19,7 @@ use asgd_hogwild::{
 use asgd_math::rng::SeedSequence;
 use asgd_oracle::GradientOracle;
 use asgd_shmem::StopReason;
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -194,10 +195,15 @@ pub fn run_spec_session(spec: &RunSpec, ctx: &SessionCtx) -> Result<RunReport, D
         }));
     }
     let result = backend(spec.backend).run_session(spec, ctx);
-    if let (Some(obs), Ok(report)) = (&ctx.observer, &result) {
-        obs.on_event(&RunEvent::Finished(Box::new(report.clone())));
+    match (&ctx.observer, result) {
+        (Some(obs), Ok(report)) => {
+            let report = Arc::new(report);
+            obs.on_event(&RunEvent::Finished(Arc::clone(&report)));
+            // Deep-copied only if the observer kept its `Arc`.
+            Ok(Arc::try_unwrap(report).unwrap_or_else(|kept| (*kept).clone()))
+        }
+        (_, result) => result,
     }
-    result
 }
 
 /// Like [`run_spec`] restricted to the simulated lock-free backend, but also
@@ -259,12 +265,14 @@ fn validate(spec: &RunSpec) -> Result<(), DriverError> {
     Ok(())
 }
 
+/// A session's oracle and its initial point.
+type OracleAndX0<'s> = (Arc<dyn GradientOracle>, Cow<'s, [f64]>);
+
 /// Builds the oracle — honouring a [`SessionCtx::oracle`] override — and
-/// resolves the initial point, checking dimensions.
-fn oracle_and_x0(
-    spec: &RunSpec,
-    ctx: &SessionCtx,
-) -> Result<(Arc<dyn GradientOracle>, Vec<f64>), DriverError> {
+/// resolves the initial point, checking dimensions. The point borrows
+/// `spec.x0` when the spec sets one: native executors only read it into
+/// their store, so it is not copied on the way in.
+fn oracle_and_x0<'s>(spec: &'s RunSpec, ctx: &SessionCtx) -> Result<OracleAndX0<'s>, DriverError> {
     let oracle = match &ctx.oracle {
         Some(oracle) => {
             if oracle.dimension() != spec.oracle.dim {
@@ -287,8 +295,8 @@ fn oracle_and_x0(
                 spec.oracle.kind
             )));
         }
-        Some(x0) => x0.clone(),
-        None => vec![0.0; d],
+        Some(x0) => Cow::Borrowed(x0.as_slice()),
+        None => Cow::Owned(vec![0.0; d]),
     };
     Ok((oracle, x0))
 }
@@ -346,7 +354,7 @@ impl Backend for SequentialBackend {
         let mut runner = SequentialSgd::new(&oracle)
             .learning_rate(alpha)
             .iterations(spec.iterations)
-            .initial_point(x0)
+            .initial_point(x0.into_owned())
             .seed(seed);
         if let Some(eps) = spec.success_radius_sq {
             runner = runner.success_radius_sq(eps);
@@ -403,7 +411,7 @@ impl SimulatedLockFreeBackend {
             .threads(spec.threads)
             .iterations(spec.iterations)
             .learning_rate(alpha)
-            .initial_point(x0)
+            .initial_point(x0.into_owned())
             .scheduler(spec.scheduler.build())
             .seed(spec.seed)
             // The dense op scan is the paper-faithful sequence; sparse ops

@@ -130,8 +130,10 @@ pub enum RunEvent {
         /// The queue's configured capacity.
         capacity: u64,
     },
-    /// The run finished; the same report the blocking call returns.
-    Finished(Box<RunReport>),
+    /// The run finished; the same report the blocking call returns, shared
+    /// rather than copied. An observer may keep the `Arc`; the blocking
+    /// call then returns a copy of it.
+    Finished(Arc<RunReport>),
 }
 
 /// A streaming observer of [`RunEvent`]s.

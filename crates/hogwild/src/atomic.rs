@@ -52,6 +52,13 @@ impl AtomicF64 {
         f64::from_bits(self.bits.load(Ordering::SeqCst))
     }
 
+    /// Consumes the atomic and returns its value (no synchronisation needed:
+    /// ownership proves no other thread can touch it).
+    #[must_use]
+    pub fn into_inner(self) -> f64 {
+        f64::from_bits(self.bits.into_inner())
+    }
+
     /// Atomically writes the value.
     pub fn store(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::SeqCst);

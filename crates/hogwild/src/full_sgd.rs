@@ -120,7 +120,7 @@ impl<O: GradientOracle> NativeFullSgd<O> {
         // Per-epoch stores (sharded per the tuning); epoch 0 seeded
         // with x₀, later epochs zeroed until their init winner copies the
         // predecessor in.
-        let models: Vec<ParamStore> = (0..total_epochs)
+        let mut models: Vec<ParamStore> = (0..total_epochs)
             .map(|e| {
                 if e == 0 {
                     ParamStore::with_tuning(x0, &self.tuning)
@@ -300,14 +300,21 @@ impl<O: GradientOracle> NativeFullSgd<O> {
             .rev()
             .find(|&e| guards[e].load(Ordering::SeqCst) == GUARD_READY)
             .unwrap_or(0);
+        // Every worker has joined and the stores are owned here: take their
+        // values in place rather than copying them.
         let (r, final_model) = if cancelled && live_epoch + 1 < total_epochs {
-            let live = models[live_epoch].snapshot();
+            let live = models.swap_remove(live_epoch).into_values();
             (live.clone(), live)
         } else {
-            let snap = snapshot.snapshot();
-            let acc_final = acc.snapshot();
-            let r: Vec<f64> = snap.iter().zip(&acc_final).map(|(s, a)| s + a).collect();
-            (r, models[total_epochs - 1].snapshot())
+            let acc_final = acc.into_values();
+            // r = snapshot + Acc, built in the snapshot's buffer (`s += a`
+            // is `s + a`: the same bits as a separate sum vector).
+            let mut r = snapshot.into_values();
+            for (s, a) in r.iter_mut().zip(&acc_final) {
+                *s += a;
+            }
+            let last = models.pop().expect("at least one epoch");
+            (r, last.into_values())
         };
         let dist_to_opt = asgd_math::vec::l2_dist(&r, self.oracle.minimizer());
         NativeFullSgdReport {

@@ -30,7 +30,10 @@ pub struct HogwildConfig {
 /// Outcome of a native Hogwild run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HogwildReport {
-    /// Final shared model (read after all threads joined — consistent).
+    /// Final shared model, taken after all threads joined (consistent).
+    /// The store's own allocation is handed out when the run owns it alone;
+    /// a run with a serving hook attached, whose reader still shares the
+    /// store, copies it instead. Either way the values are the same bits.
     pub final_model: Vec<f64>,
     /// `‖X_final − x*‖²`.
     pub final_dist_sq: f64,
@@ -311,7 +314,12 @@ impl<O: GradientOracle> Hogwild<O> {
                 hook.notify_published(version, tag);
             });
         }
-        let final_model = model.snapshot();
+        // Every worker has joined, so the store is quiescent. Unless a
+        // serving reader still shares it, hand its values out in place.
+        let final_model = match Arc::try_unwrap(model) {
+            Ok(store) => store.into_values(),
+            Err(shared) => shared.snapshot(),
+        };
         let final_dist_sq = asgd_math::vec::l2_dist_sq(&final_model, self.oracle.minimizer());
         let hit = first_success.load(Ordering::SeqCst);
         HogwildReport {
@@ -453,6 +461,58 @@ mod tests {
             .enumerate()
         {
             assert_eq!(a.to_bits(), b.to_bits(), "entry {j}: dense {a} sparse {b}");
+        }
+    }
+
+    #[test]
+    fn final_model_is_the_same_whether_moved_out_or_copied_from_a_served_store() {
+        use crate::snapshot::ServeHook;
+        use crate::tuning::SparsePolicy;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let oracle = Arc::new(SparseQuadratic::uniform(16, 1.0, 0.4).unwrap());
+        let x0 = vec![1.0; 16];
+        for sparse in [SparsePolicy::ForceDense, SparsePolicy::ForceSparse] {
+            let run = |serve: Option<&ServeHook>| {
+                Hogwild::new(
+                    Arc::clone(&oracle),
+                    HogwildConfig {
+                        threads: 1,
+                        iterations: 1_000,
+                        alpha: 0.01,
+                        seed: 9,
+                        success_radius_sq: None,
+                    },
+                )
+                .tuning(ExecTuning {
+                    sparse,
+                    ..ExecTuning::default()
+                })
+                .run_controlled(
+                    &x0,
+                    RunControl {
+                        serve,
+                        ..RunControl::default()
+                    },
+                )
+            };
+            // Unserved: the run owns the store and moves it out.
+            let owned = run(None);
+            // Served: the hook's reader outlives the run and still reads
+            // the store, so the run had to copy it.
+            let hook = ServeHook::new(64);
+            let served = run(Some(&hook));
+            let reader = hook.reader().expect("attached");
+            assert_eq!(bits(&reader.model().snapshot()), bits(&served.final_model));
+            let last = reader.snapshot().expect("final publication");
+            assert_eq!(last.iteration, 1_000, "{sparse:?}");
+            assert_eq!(bits(&last.values), bits(&served.final_model), "{sparse:?}");
+            // One thread, same seed: publishing changes no update, so both
+            // arms report the same bits, distance included.
+            assert_eq!(bits(&owned.final_model), bits(&served.final_model));
+            for report in [&owned, &served] {
+                let dist = asgd_math::vec::l2_dist_sq(&report.final_model, oracle.minimizer());
+                assert_eq!(report.final_dist_sq.to_bits(), dist.to_bits(), "{sparse:?}");
+            }
         }
     }
 

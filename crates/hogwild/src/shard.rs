@@ -270,7 +270,18 @@ impl ParamStore {
     /// Panics if `x0` is empty.
     #[must_use]
     pub fn new(x0: &[f64], shards: usize) -> Self {
-        Self::from_fn(ShardRouter::new(x0.len(), shards), |j| x0[j])
+        // Each arena is built from its slice of `x0`: a straight copy loop,
+        // with no per-index bounds check.
+        let router = ShardRouter::new(x0.len(), shards);
+        let arenas = (0..router.shard_count())
+            .map(|s| {
+                x0[router.range(s)]
+                    .iter()
+                    .map(|&v| AtomicF64::new(v))
+                    .collect()
+            })
+            .collect();
+        Self::from_entries(ShardedVec { router, arenas })
     }
 
     /// A zero store of dimension `d` (Algorithm 1's `X = (0, …, 0)`),
@@ -281,7 +292,9 @@ impl ParamStore {
     /// Panics if `d == 0`.
     #[must_use]
     pub fn zeros(d: usize, shards: usize) -> Self {
-        Self::from_fn(ShardRouter::new(d, shards), |_| 0.0)
+        Self::from_entries(ShardedVec::from_fn(ShardRouter::new(d, shards), |_| {
+            AtomicF64::new(0.0)
+        }))
     }
 
     /// Builds the store `tuning` asks for, initialised to `x0`.
@@ -304,14 +317,11 @@ impl ParamStore {
         Self::zeros(d, tuning.shards.resolve(d))
     }
 
-    fn from_fn(router: ShardRouter, init: impl Fn(usize) -> f64) -> Self {
-        let counters = (0..router.shard_count())
+    fn from_entries(entries: ShardedVec<AtomicF64>) -> Self {
+        let counters = (0..entries.router().shard_count())
             .map(|_| CacheAligned(AtomicU64::new(0)))
             .collect();
-        Self {
-            entries: ShardedVec::from_fn(router, |j| AtomicF64::new(init(j))),
-            counters,
-        }
+        Self { entries, counters }
     }
 
     /// Model dimension `d`.
@@ -396,12 +406,34 @@ impl ParamStore {
         self.entries.get(j).store(value);
     }
 
-    /// Snapshots the store into a fresh vector (entry-wise atomic reads;
-    /// only consistent when no writers are active).
+    /// Copies the store into a fresh vector: one O(d) allocation and
+    /// entry-wise atomic reads, consistent only when no writers are active.
+    /// This is the way to read a store that is still shared (a serving
+    /// reader holds it); an owner done with the store should take
+    /// [`ParamStore::into_values`] instead.
     #[must_use]
     pub fn snapshot(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.dimension()];
         self.read_view(&mut out);
+        out
+    }
+
+    /// Consumes the store and returns its values in index order, equal
+    /// bitwise to [`ParamStore::snapshot`]. Ownership proves the store is
+    /// quiescent, so no atomic read is needed, and the first arena's
+    /// allocation becomes the result (an in-place collect: no allocation,
+    /// no copy). Further arenas are appended.
+    #[must_use]
+    pub fn into_values(self) -> Vec<f64> {
+        let d = self.dimension();
+        let values = |a: Box<[AtomicF64]>| a.into_vec().into_iter().map(AtomicF64::into_inner);
+        let mut arenas = self.entries.arenas.into_iter();
+        let first = arenas.next().expect("a store has at least one shard");
+        let mut out: Vec<f64> = values(first).collect();
+        out.reserve_exact(d - out.len());
+        for a in arenas {
+            out.extend(values(a));
+        }
         out
     }
 
@@ -656,6 +688,24 @@ mod tests {
             assert_eq!(view, vec![1.0, -1.5, -1.0, 4.0]);
             assert_eq!(view, m.snapshot());
             assert_eq!(ParamStore::zeros(3, shards).snapshot(), vec![0.0; 3]);
+        }
+    }
+
+    #[test]
+    fn into_values_reuses_the_first_arena_and_matches_the_snapshot() {
+        let x0: Vec<f64> = (0..11).map(|j| f64::from(j as u32).sin()).collect();
+        for shards in [1, 3] {
+            let m = ParamStore::new(&x0, shards);
+            m.fetch_add(4, 0.25);
+            m.write(9, -0.0);
+            let arena = m.entries.shard(0).as_ptr() as usize;
+            let snapshot = m.snapshot();
+            let values = m.into_values();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&values), bits(&snapshot), "{shards} shards");
+            if shards == 1 {
+                assert_eq!(values.as_ptr() as usize, arena, "allocation reused");
+            }
         }
     }
 

@@ -103,6 +103,33 @@ fn observed_one_thread_hogwild_stays_bit_identical_to_sequential() {
     assert_eq!(recorder.samples.lock().unwrap().len(), hog_traj.len());
 }
 
+#[test]
+fn an_observer_keeping_the_finished_report_leaves_wait_an_equal_copy() {
+    let spec = base_spec().backend(BackendKind::Hogwild);
+    let kept: Arc<Mutex<Option<Arc<RunReport>>>> = Arc::default();
+    let keeper = Arc::clone(&kept);
+    let observer: Arc<dyn RunObserver> = Arc::new(move |event: &RunEvent| {
+        if let RunEvent::Finished(report) = event {
+            *keeper.lock().unwrap() = Some(Arc::clone(report));
+        }
+    });
+    let report = Driver::new()
+        .submit_observed(spec.clone(), observer)
+        .wait()
+        .expect("hogwild runs");
+    let kept = kept.lock().unwrap().take().expect("Finished was observed");
+    assert_eq!(*kept, report);
+    assert_eq!(Arc::strong_count(&kept), 1, "wait() returned a copy");
+    let unobserved = run_spec(&spec).expect("hogwild runs");
+    let bits = |r: &RunReport| {
+        r.final_model
+            .iter()
+            .map(|x| x.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&report), bits(&unobserved));
+}
+
 /// Wall-time fields are the only legitimate difference between a pooled and
 /// a serial execution of the same spec.
 fn scrub_wall_time(mut report: RunReport) -> RunReport {
